@@ -42,10 +42,15 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 def _sign_chunks(n: int, chunk: int = 1 << 13) -> Iterator[np.ndarray]:
-    total = 1 << n
+    """The 2^(n-1) sign patterns whose last sign is +1.
+
+    Norms are symmetric, so ||sum_j eps_j x_j|| = ||sum_j -eps_j x_j||
+    and these patterns, one from each pair +-eps, carry every value.
+    """
+    half = 1 << (n - 1)
     cols = np.arange(n, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, half, chunk):
+        idx = np.arange(start, min(start + chunk, half), dtype=np.int64) | half
         yield ((idx[:, None] >> cols) & 1).astype(float) * 2.0 - 1.0
 
 
@@ -63,24 +68,29 @@ def _stack_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
 def rademacher_average(vectors: Sequence[np.ndarray], norm: NormSpec, power: int = 1) -> float:
     """Average of ||sum_j eps_j x_j|| over all sign choices, exactly.
 
-    power=1 gives the plain mean, power=2 the quadratic mean; every one
-    of the 2^n sign patterns is enumerated.
+    power=1 gives the plain mean, power=2 the quadratic mean.  The
+    average runs over all 2^n sign patterns; by the symmetry eps -> -eps
+    only the 2^(n-1) patterns with a last sign of +1 are evaluated.
     """
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2")
     x = _stack_vectors(vectors)
     n = x.shape[0]
-    total = 1 << n
     acc = 0.0
     for signs in _sign_chunks(n):
         norms = rowwise_norm(signs @ x, norm)
         acc += float(np.sum(norms**power))
-    mean = acc / total
+    mean = acc / (1 << (n - 1))
     return mean if power == 1 else math.sqrt(mean)
 
 
 def min_max_sign_norm(vectors: Sequence[np.ndarray], norm: NormSpec, mode: str) -> ConstantEstimate:
-    """Extreme of ||sum_j eps_j x_j|| over all sign patterns."""
+    """Extreme of ||sum_j eps_j x_j|| over all sign patterns.
+
+    ``trials`` counts the 2^n patterns covered; by the symmetry
+    eps -> -eps half of them, those with a last sign of +1, are
+    evaluated, and the witness is one of those.
+    """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
     x = _stack_vectors(vectors)
@@ -109,20 +119,23 @@ def min_max_sign_norm(vectors: Sequence[np.ndarray], norm: NormSpec, mode: str) 
 def _coefficient_chunks(mode: str, k: int, chunk: int = 1 << 13) -> Iterator[np.ndarray]:
     """Coefficient patterns for the three enumeration modes.
 
-    zero-one and signs enumerate their 2^k patterns exactly.  The
-    unit-interval grid uses 17 points per axis when the full product is
-    affordable; beyond that the cube's extreme points together with the
-    zero-one masks are enumerated instead, which convexity shows carry
-    the maximum of any norm over the cube.
+    zero-one enumerates its 2^k patterns exactly.  signs covers its 2^k
+    patterns through the 2^(k-1) with a last sign of +1: the norm is
+    symmetric, so c and -c give the same ratio.  The unit-interval grid
+    uses 17 points per axis when the full product is affordable; beyond
+    that the cube's extreme points together with the zero-one masks are
+    enumerated instead, which convexity shows carry the maximum of any
+    norm over the cube.
     """
-    if mode in ("zero-one", "signs"):
-        lo = 0.0 if mode == "zero-one" else -1.0
+    if mode == "signs":
+        yield from _sign_chunks(k, chunk)
+        return
+    if mode == "zero-one":
         cols = np.arange(k, dtype=np.int64)
         total = 1 << k
         for start in range(0, total, chunk):
             idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            bits = ((idx[:, None] >> cols) & 1).astype(float)
-            yield bits * (1.0 - lo) + lo
+            yield ((idx[:, None] >> cols) & 1).astype(float)
         return
     if mode == "unit-disc-grid":
         if GRID_POINTS_PER_AXIS**k <= GRID_PATTERN_BUDGET:
@@ -153,6 +166,8 @@ def unconditional_constant(
 
     Exact over coefficients, a lower bound over vectors; orthogonal
     blocks in the euclidean ambient give the exact value 1 directly.
+    The signs mode, and the grid mode's fallback for k > 5, evaluate one
+    pattern of each pair +-c; the witness is then one with c_k = +1.
     """
     k = family.block_count
     if k > COEFFICIENT_BUDGET:
@@ -473,13 +488,6 @@ def _battery_matrix(family: ProjectionFamily, samples: int, seed: int) -> tuple[
     return labels, np.stack(rows)
 
 
-def _aggregate_rows(profiles: np.ndarray, spec: NormSpec) -> np.ndarray:
-    p = spec.power_exponent()
-    if p is not None and spec.variant == "power":
-        return (profiles**p).sum(axis=1) ** (1.0 / p)
-    return np.array([block_psi_norm(row, spec) for row in profiles])
-
-
 def type_cotype_check(
     family: ProjectionFamily,
     psi: NormSpec,
@@ -499,8 +507,8 @@ def type_cotype_check(
     labels, batch = _battery_matrix(family, samples, seed)
     ambient = rowwise_norm(batch, norm)
     profiles = np.column_stack([rowwise_norm(batch @ b.T, norm) for b in family.blocks])
-    psi_agg = _aggregate_rows(profiles, psi)
-    phi_agg = _aggregate_rows(profiles, phi)
+    psi_agg = rowwise_norm(profiles, psi)
+    phi_agg = rowwise_norm(profiles, phi)
     lo_margin = ambient - lower_constant * psi_agg
     hi_margin = upper_constant * phi_agg - ambient
     tol = REL_TOL * (1.0 + ambient)

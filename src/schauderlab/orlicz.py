@@ -6,6 +6,12 @@ t**p, the scaled exponential exp(alpha*t) - 1, and piecewise-linear
 interpolants through user-supplied knots.  The induced (Luxemburg) norm
 of a finite sequence a is the smallest rho > 0 such that
 sum(phi(|a_n| / rho)) <= 1.
+
+One solver computes it, for a single sequence and for every row of a
+matrix alike: a bracketed, safeguarded Newton iteration in 1/rho that
+returns the feasible end of a bracket no wider than 1e-12 * (1 + rho).
+Norms that are exactly lp norms, power gauges included, also have a
+closed form, which vector_norm and rowwise_norm use.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .kernel import ABS_TOL, solve_monotone
+from .kernel import ABS_TOL
 
 _KINDS = ("power", "exp", "pwl")
 
@@ -63,6 +69,13 @@ class OrliczFunction:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown gauge kind {self.kind!r}")
+        if self.kind == "pwl":
+            # knot arrays built once per gauge, not on every evaluation
+            ts = np.array([k[0] for k in self.knots])
+            vs = np.array([k[1] for k in self.knots])
+            object.__setattr__(self, "_ts", ts)
+            object.__setattr__(self, "_vs", vs)
+            object.__setattr__(self, "_slopes", np.diff(vs) / np.diff(ts))
 
     def values(self, t: np.ndarray) -> np.ndarray:
         """Gauge values at nonnegative points; vectorised, overflow-safe."""
@@ -73,14 +86,29 @@ class OrliczFunction:
         if self.kind == "exp":
             with np.errstate(over="ignore"):
                 return np.expm1(self.alpha * t)
-        ts = np.array([k[0] for k in self.knots])
-        vs = np.array([k[1] for k in self.knots])
+        ts, vs = self._ts, self._vs
         out = np.interp(t, ts, vs)
         beyond = t > ts[-1]
         if np.any(beyond):
-            slope = (vs[-1] - vs[-2]) / (ts[-1] - ts[-2])
-            out = np.where(beyond, vs[-1] + slope * (t - ts[-1]), out)
+            out = np.where(beyond, vs[-1] + self._slopes[-1] * (t - ts[-1]), out)
         return out
+
+    def _slope_moment(self, t: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Row sums of t * phi'(t), given v = self.values(t) and its row sums g.
+
+        The derivative comes from the values already computed: the
+        exponential has phi' = alpha (phi + 1), a power has phi' = p phi / t,
+        and a piecewise-linear gauge takes the slope of the knot segment to
+        the right of t.
+        """
+        if self.kind == "power":
+            return self.p * g
+        if self.kind == "exp":
+            return self.alpha * (np.einsum("...i,...i->...", t, v) + t.sum(axis=-1))
+        # the count of interior knots <= t is the index of t's segment,
+        # the last one extended past the final knot
+        seg = np.searchsorted(self._ts[1:-1], t, side="right")
+        return np.einsum("...i,...i->...", t, self._slopes[seg])
 
 
 def eval_phi(phi: OrliczFunction, t: float) -> float:
@@ -135,114 +163,147 @@ class NormSpec:
 def luxemburg_norm(phi: OrliczFunction, x: Sequence[float] | np.ndarray) -> float:
     """Norm induced by the gauge: inf{rho > 0 : sum phi(|a|/rho) <= 1}.
 
-    Bisection on the nonincreasing feasibility function, bracketed
-    geometrically starting from max|a|; the returned value is on the
-    feasible side of a bracket of width <= 1e-12 * (1 + result).
+    A one-row call into the row kernel of :func:`rowwise_norm`, without
+    its closed-form shortcut for power gauges: the returned value is on
+    the feasible side of a bracket of width <= 1e-12 * (1 + result).
     """
-    a = np.abs(np.asarray(x))
+    a = np.asarray(x)
     if a.ndim != 1:
         raise ValueError("expected a one-dimensional sequence")
-    if a.size == 0 or not np.any(a > 0):
-        return 0.0
-    if not np.all(np.isfinite(a)):
-        raise ValueError("sequence entries must be finite")
-    a = a.astype(float)
-    amax = float(a.max())
+    return float(_luxemburg_rows(phi, a[None, :])[0])
 
-    def g(rho: float) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.sum(phi.values(a / rho)))
 
-    try:
-        return solve_monotone(g, 1.0, (amax, amax), tol_abs=ABS_TOL)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"gauge never reaches the unit level: {exc}") from exc
+_NORMAL_MIN = float(np.finfo(float).tiny)
+
+
+def _lp_norms(m: np.ndarray, p: float) -> np.ndarray:
+    """lp norm of every row of a matrix, in closed form.
+
+    A row whose sum of p-th powers overflows, or underflows below the
+    normal range, is divided by its largest entry first.
+    """
+    if p == 1.0:
+        return np.abs(m).sum(axis=1)
+    with np.errstate(over="ignore", under="ignore"):
+        if p == 2.0:
+            s = np.abs(m * m.conj()).sum(axis=1).real
+            out = np.sqrt(s)
+        else:
+            s = (np.abs(m) ** p).sum(axis=1)
+            out = s ** (1.0 / p)
+        bad = ~((s >= _NORMAL_MIN) & (s < np.inf))
+        if np.count_nonzero(bad):
+            a = np.abs(m[bad])
+            top = a.max(axis=1, initial=0.0)
+            top[top == 0.0] = 1.0  # zero rows stay zero
+            out[bad] = top * ((a / top[:, None]) ** p).sum(axis=1) ** (1.0 / p)
+    return out
 
 
 def vector_norm(x: Sequence[float] | np.ndarray, spec: NormSpec) -> float:
     """Ambient norm of a vector under the given specification."""
     v = np.asarray(x)
-    if spec.variant == "power":
-        if spec.p == 1.0:
-            return float(np.abs(v).sum())
-        if spec.p == 2.0:
-            return float(np.sqrt(np.abs(v * v.conj()).sum().real))
-        return float((np.abs(v) ** spec.p).sum() ** (1.0 / spec.p))
     if spec.variant == "max":
         return float(np.abs(v).max()) if v.size else 0.0
-    return luxemburg_norm(spec.phi, v)
+    p = spec.power_exponent()
+    if p == 1.0:
+        return float(np.abs(v).sum())
+    if p is None:
+        return luxemburg_norm(spec.phi, v)
+    # _lp_norms for one vector, inline because this path runs hot.  It has
+    # no errstate guard, which would cost as much as the norm itself: an
+    # overflow warns here, and the rescaled fallback then corrects it.
+    s = float(np.abs(v * v.conj()).sum().real if p == 2.0 else (np.abs(v) ** p).sum())
+    if _NORMAL_MIN <= s < math.inf:
+        return math.sqrt(s) if p == 2.0 else s ** (1.0 / p)
+    return float(_lp_norms(v.reshape(1, -1), p)[0])
+
+
+_MAX_PASSES = 400
+_EPS = float(np.finfo(float).eps)
 
 
 def _luxemburg_rows(phi: OrliczFunction, rows: np.ndarray) -> np.ndarray:
-    """Luxemburg norm of every row, with the bisection run in lock step.
+    """Luxemburg norm of every row: the one solver behind both entry points.
 
-    Independent of the scalar route in :func:`luxemburg_norm`; the two
-    are cross-checked in tests rather than sharing a code path.
+    Each pass evaluates the gauge once per live row at a trial rho and
+    sorts it to the infeasible end ``lo`` (sum > 1) or the feasible end
+    ``hi`` of that row's bracket.  The bracket starts at max|a| and is
+    doubled or halved until both ends are known.  Inside it the trial
+    point is a Newton step in s = 1/rho on F(s) = sum phi(|a| s) - 1,
+    taken from ``lo``.  F is convex and increasing, so such a step never
+    passes the root, and the ``lo`` iterates rise to it monotonically.
+    Once a step falls below 2.5e-13 relative, the next trial point lies
+    just past the root, on the feasible side.  A step that is not finite
+    or leaves the bracket is replaced by the bisection midpoint; one that
+    lands within rounding of ``hi`` (a piecewise-linear gauge can land
+    on the root exactly) by a point just below ``hi``.  A row is done
+    when hi - lo <= 1e-12 * (1 + hi); the feasible ``hi``, as
+    ``phi.values`` evaluated it, is returned.
     """
-    a = np.abs(np.asarray(rows, dtype=float))
+    a = np.abs(np.asarray(rows))
     if not np.all(np.isfinite(a)):
         raise ValueError("rows must be finite")
+    a = a.astype(float, copy=False)
     out = np.zeros(a.shape[0])
-    amax = a.max(axis=1) if a.shape[1] else out
-    live = amax > 0
-    if not np.any(live):
+    amax = a.max(axis=1, initial=0.0)
+    live = np.flatnonzero(amax > 0)
+    if live.size == 0:
         return out
     body = a[live]
-    scale = amax[live]
-
-    def excess(rho: np.ndarray) -> np.ndarray:
-        return phi.values(body / rho[:, None]).sum(axis=1)
-
-    hi = scale.copy()
-    for _ in range(200):
-        over = excess(hi) > 1.0
-        if not np.any(over):
-            break
-        hi[over] *= 2.0
-    else:
-        raise ConvergenceError("row norm bracket did not stabilise")
-    lo = hi / 2.0
-    feasible = excess(lo) <= 1.0
-    for _ in range(200):
-        if not np.any(feasible):
-            break
-        hi[feasible] = lo[feasible]
-        lo[feasible] /= 2.0
-        feasible &= excess(lo) <= 1.0
-    for _ in range(200):
-        wide = (hi - lo) > ABS_TOL * (1.0 + hi)
-        if not np.any(wide):
-            break
-        mid = 0.5 * (lo + hi)
-        ok = excess(mid) <= 1.0
-        hi = np.where(wide & ok, mid, hi)
-        lo = np.where(wide & ~ok, mid, lo)
-    out[live] = hi
-    return out
+    rho = amax[live]
+    lo = np.zeros(live.size)  # infeasible end; 0 until one is seen
+    hi = np.full(live.size, np.inf)  # feasible end; inf until one is seen
+    newton = np.zeros(live.size)  # Newton point from lo
+    margin = 4.0 * _EPS * body.shape[1]  # relative rounding of a row sum
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_PASSES):
+            t = body / rho[:, None]
+            v = phi.values(t)
+            g = v.sum(axis=1)
+            over = g > 1.0
+            np.copyto(lo, rho, where=over)
+            np.copyto(hi, rho, where=~over)
+            # Newton in s = 1/rho: s_new = s (1 - F / (s F'(s))), s F'(s) = sum t phi'(t)
+            np.copyto(newton, rho / (1.0 - (g - 1.0) / phi._slope_moment(t, v, g)), where=over)
+            width = ABS_TOL * (1.0 + hi)
+            done = hi - width <= lo
+            if np.count_nonzero(done):
+                out[live[done]] = hi[done]
+                keep = ~done
+                if not np.count_nonzero(keep):
+                    return out
+                live, body, lo, hi, newton, width = (z[keep] for z in (live, body, lo, hi, newton, width))
+            step = newton - lo
+            # a converged step moves on past the root, to the feasible side
+            rho = newton + (step <= 0.25 * ABS_TOL * lo) * np.maximum(step, margin * newton)
+            np.copyto(rho, 0.5 * (lo + hi), where=~((lo < rho) & (rho < hi + width)))
+            # a trial within half a width of hi, or past it, means the root
+            # is within rounding of hi: probe just below hi instead
+            np.minimum(rho, hi - 0.5 * width, out=rho)
+            np.copyto(rho, 2.0 * lo, where=np.isinf(hi))
+    raise ConvergenceError(f"gauge never reaches the unit level within {_MAX_PASSES} passes")
 
 
 def rowwise_norm(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """Ambient norm of every row of a matrix (vectorised where possible)."""
+    """Ambient norm of every row of a matrix, vectorised over the rows."""
     m = np.asarray(rows)
     if m.ndim != 2:
         raise ValueError("expected a matrix")
-    if spec.variant == "power":
-        if spec.p == 1.0:
-            return np.abs(m).sum(axis=1)
-        if spec.p == 2.0:
-            return np.sqrt(np.abs(m * m.conj()).sum(axis=1).real)
-        return (np.abs(m) ** spec.p).sum(axis=1) ** (1.0 / spec.p)
+    p = spec.power_exponent()
+    if p is not None:
+        return _lp_norms(m, p)
     if spec.variant == "max":
         return np.abs(m).max(axis=1)
-    return _luxemburg_rows(spec.phi, np.abs(m))
+    return _luxemburg_rows(spec.phi, m)
 
 
 def block_psi_norm(block_norms: Sequence[float] | np.ndarray, spec: NormSpec) -> float:
     """Aggregate a profile of per-block norms with a second norm.
 
-    The profile must be elementwise nonnegative.  Power aggregation uses
-    the closed form rather than the Luxemburg bisection, deliberately:
-    the two routes are compared in tests, not merged.
+    The profile must be elementwise nonnegative.  Power aggregation, by a
+    power norm or a power gauge, uses the closed form; other gauges go
+    through the Luxemburg solver.
     """
     t = np.asarray(block_norms, dtype=float)
     if t.ndim != 1:

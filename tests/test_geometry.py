@@ -1,5 +1,6 @@
 """Geometric constants: sign averages, unconditionality, frame bounds,
 sign-average comparison constants, and the block-norm sandwich."""
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from schauderlab.geometry import (
     type_cotype_check,
     unconditional_constant,
 )
-from schauderlab.kernel import SAMPLED_LOWER_BOUND, SAMPLED_UPPER_BOUND, SPECTRAL_EXACT
+from schauderlab.kernel import SAMPLED_LOWER_BOUND, SAMPLED_UPPER_BOUND, SPECTRAL_EXACT, unit_sphere_sampler
 from schauderlab.orlicz import NormSpec, OrliczFunction, vector_norm
 
 L2 = NormSpec.power(2.0)
@@ -89,6 +90,99 @@ def test_sign_witness_reproduces_value():
         signs = est.witness["signs"]
         again = vector_norm(sum(s * v for s, v in zip(signs, vectors)), NormSpec.power(1.0))
         assert again == pytest.approx(est.value, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# sign symmetry: the enumerations evaluate half the patterns; a full loop
+# over all of them must give the same numbers
+
+BRUTE_NORMS = {
+    "l1": NormSpec.power(1.0),
+    "l2": L2,
+    "max": NormSpec.max_norm(),
+    "exp": NormSpec.orlicz(OrliczFunction.scaled_exp(1.0)),
+    "pwl": NormSpec.orlicz(OrliczFunction.piecewise_linear([(0.0, 0.0), (0.5, 0.2), (1.0, 1.0), (2.0, 4.0)])),
+}
+
+
+def all_sign_norms(vectors, norm):
+    return [
+        vector_norm(sum(e * v for e, v in zip(signs, vectors)), norm)
+        for signs in itertools.product((-1.0, 1.0), repeat=len(vectors))
+    ]
+
+
+@pytest.mark.parametrize("scalars", ["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_sign_enumeration_matches_full_loop(n, scalars):
+    rng = np.random.default_rng(40 + n)
+    vectors = [rng.standard_normal(6) for _ in range(n)]
+    if scalars == "complex":
+        vectors = [v + 1j * rng.standard_normal(6) for v in vectors]
+    for name, norm in BRUTE_NORMS.items():
+        full = np.array(all_sign_norms(vectors, norm))
+        assert rademacher_average(vectors, norm, power=1) == pytest.approx(full.mean(), rel=1e-10), name
+        assert rademacher_average(vectors, norm, power=2) == pytest.approx(
+            math.sqrt(np.mean(full**2)), rel=1e-10
+        ), name
+        for mode, want in (("min", full.min()), ("max", full.max())):
+            est = min_max_sign_norm(vectors, norm, mode)
+            assert est.value == pytest.approx(want, rel=1e-10), (name, mode)
+            assert est.trials == 2**n
+            signs = est.witness["signs"]
+            assert signs.shape == (n,) and np.all(np.abs(signs) == 1.0)
+            replay = vector_norm(sum(e * v for e, v in zip(signs, vectors)), norm)
+            assert replay == pytest.approx(est.value, rel=1e-10), (name, mode)
+
+
+def full_loop_unconditional(family, patterns, samples, seed):
+    norm = family.space.norm
+    sampler = unit_sphere_sampler(norm, family.dim, seed)
+    best = -math.inf
+    for _ in range(samples):
+        x = next(sampler)
+        parts = [b @ x for b in family.blocks]
+        denom = vector_norm(sum(parts), norm)
+        for c in patterns:
+            best = max(best, vector_norm(sum(ci * y for ci, y in zip(c, parts)), norm) / denom)
+    return best
+
+
+def transported(k, scalars, norm, seed):
+    rng = np.random.default_rng(seed)
+    n = 2 * k
+    s = np.eye(n) + 0.2 * rng.standard_normal((n, n))
+    if scalars == "complex":
+        s = s + 0.2j * rng.standard_normal((n, n))
+    space = ModelSpace(n, norm, scalars=scalars)
+    return transport_family(s, make_coordinate_family(space, [2] * k))
+
+
+@pytest.mark.parametrize("scalars", ["real", "complex"])
+@pytest.mark.parametrize(
+    "mode,k",
+    [("signs", 1), ("signs", 3), ("signs", 6), ("unit-disc-grid", 2), ("unit-disc-grid", 6)],
+)
+def test_unconditional_matches_full_loop(mode, k, scalars):
+    grid = np.linspace(-1.0, 1.0, 17)
+    if mode == "signs":
+        patterns = list(itertools.product((-1.0, 1.0), repeat=k))
+    elif k <= 5:
+        patterns = list(itertools.product(grid, repeat=k))
+    else:
+        # beyond five blocks the grid mode covers the cube's extreme
+        # points and the zero-one masks
+        patterns = list(itertools.product((-1.0, 1.0), repeat=k)) + list(itertools.product((0.0, 1.0), repeat=k))
+    for name in ("l1", "exp"):
+        norm = BRUTE_NORMS[name]
+        fam = transported(k, scalars, norm, seed=k)
+        est = unconditional_constant(fam, mode, samples=3, seed=9)
+        want = full_loop_unconditional(fam, patterns, samples=3, seed=9)
+        assert est.value == pytest.approx(want, rel=1e-10), name
+        c, x = np.asarray(est.witness["coefficients"]), est.witness["x"]
+        parts = [b @ x for b in fam.blocks]
+        replay = vector_norm(sum(ci * y for ci, y in zip(c, parts)), norm) / vector_norm(sum(parts), norm)
+        assert replay == pytest.approx(est.value, rel=1e-10), name
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from schauderlab.errors import ConvergenceError
+from schauderlab.kernel import ABS_TOL
 from schauderlab.orlicz import (
     Delta2Report,
     NormSpec,
     OrliczFunction,
+    _luxemburg_rows,
     block_psi_norm,
     delta2_margin,
     divergence_witness,
@@ -168,16 +171,173 @@ def test_norm_spec_rejects_bad_power():
 
 
 def test_rowwise_matches_per_row():
-    # the lockstep row bisection is an independent route; compare it
-    # against the scalar one
+    # the scalar norm is a one-row call into the row kernel, so the batch
+    # and the single-row results agree exactly
     rng = np.random.default_rng(8)
     phi = OrliczFunction.scaled_exp(1.0)
     spec = NormSpec.orlicz(phi)
     rows = rng.standard_normal((30, 6)) * 2.0
     rows[4] = 0.0  # a zero row must come out as 0
     batch = rowwise_norm(rows, spec)
+    assert batch[4] == 0.0
     for i, row in enumerate(rows):
-        assert batch[i] == pytest.approx(luxemburg_norm(phi, row), rel=1e-9, abs=1e-12)
+        assert batch[i] == luxemburg_norm(phi, row)
+
+
+# ---------------------------------------------------------------------------
+# the row kernel against an independent reference
+
+KERNEL_GAUGES = {
+    "exp:1": OrliczFunction.scaled_exp(1.0),
+    "exp:30": OrliczFunction.scaled_exp(30.0),
+    "pwl": OrliczFunction.piecewise_linear([(0.0, 0.0), (0.5, 0.2), (1.0, 1.0), (2.0, 4.0)]),
+    "pwl-flat-start": OrliczFunction.piecewise_linear([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]),
+    "power:1": OrliczFunction.power(1.0),
+    "power:3": OrliczFunction.power(3.0),
+    "power:10": OrliczFunction.power(10.0),
+}
+
+
+def reference_luxemburg(phi, row):
+    """Plain scalar bisection for inf{rho : sum phi(|a|/rho) <= 1}."""
+    a = np.abs(np.asarray(row, dtype=float))
+    if not np.any(a > 0):
+        return 0.0
+
+    def g(rho):
+        return float(np.sum(phi.values(a / rho)))
+
+    hi = float(a.max())
+    while g(hi) > 1.0:
+        hi *= 2.0
+    lo = hi / 2.0
+    while g(lo) <= 1.0:
+        hi, lo = lo, lo / 2.0
+    while hi - lo > ABS_TOL * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if g(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def kernel_rows(n, seed):
+    """Zero rows, single-nonzero rows, sparse rows and dense rows at scales
+    1e-8 .. 1e8, plus 1e-11, where the bracket width 1e-12 * (1 + rho) is
+    a tenth of rho."""
+    rng = np.random.default_rng(seed)
+    scales = np.append(10.0 ** np.linspace(-8.0, 8.0, 17), 1e-11)
+    dense = rng.standard_normal((scales.size, n)) * scales[:, None]
+    single = np.zeros((5, n))
+    single[np.arange(5), rng.integers(0, n, 5)] = [1e-8, -0.3, 1.0, 7.0, -1e8]
+    sparse = rng.standard_normal((4, n)) * (rng.random((4, n)) < 0.3)
+    return np.vstack([np.zeros((2, n)), single, sparse, dense])
+
+
+@pytest.mark.parametrize("n", [1, 12, 64])
+@pytest.mark.parametrize("name", sorted(KERNEL_GAUGES))
+def test_row_kernel_matches_reference_bisection(name, n):
+    # rowwise_norm sends power gauges to the closed form, so the row
+    # kernel is called directly here
+    phi = KERNEL_GAUGES[name]
+    rows = kernel_rows(n, seed=n)
+    batch = _luxemburg_rows(phi, rows)
+    for row, got in zip(rows, batch):
+        want = reference_luxemburg(phi, row)
+        # both are feasible ends of brackets of width 1e-12 * (1 + rho)
+        assert abs(got - want) <= 2.0 * ABS_TOL * (1.0 + want), (row, got, want)
+        assert luxemburg_norm(phi, row) == got
+
+
+@pytest.mark.parametrize("n", [1, 12, 64])
+@pytest.mark.parametrize("name", sorted(KERNEL_GAUGES))
+def test_row_kernel_feasibility_contract(name, n):
+    # the returned rho is feasible as phi.values evaluates it, and the
+    # far end of its bracket, rho - 1e-12 * (1 + rho), is not
+    phi = KERNEL_GAUGES[name]
+    rows = kernel_rows(n, seed=100 + n)
+    batch = _luxemburg_rows(phi, rows)
+    for row, rho in zip(rows, batch):
+        a = np.abs(row)
+        if not np.any(a > 0):
+            assert rho == 0.0
+            continue
+        assert phi.values(a / rho).sum() <= 1.0
+        below = rho - ABS_TOL * (1.0 + rho)
+        if below > 0:
+            assert phi.values(a / below).sum() > 1.0
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GAUGES))
+def test_row_kernel_converges_in_few_passes(name, monkeypatch):
+    # one gauge evaluation per pass; bisection to 1e-12 would need about 45
+    calls = []
+    original = OrliczFunction.values
+
+    def counting(self, t):
+        calls.append(1)
+        return original(self, t)
+
+    monkeypatch.setattr(OrliczFunction, "values", counting)
+    for n in (1, 12, 64):
+        calls.clear()
+        _luxemburg_rows(KERNEL_GAUGES[name], kernel_rows(n, seed=n))
+        assert len(calls) <= 20, (n, len(calls))
+
+
+def test_row_kernel_single_entry_closed_forms():
+    # one nonzero entry a: phi(|a|/rho) = 1, so rho = |a| / phi^{-1}(1)
+    inverse_at_one = {"exp:1": math.log(2.0), "exp:30": math.log(2.0) / 30.0, "pwl": 1.0,
+                      "pwl-flat-start": 2.0, "power:1": 1.0, "power:3": 1.0, "power:10": 1.0}
+    for name, tau in inverse_at_one.items():
+        for a in (1e-8, 0.37, 5.0, 1e8):
+            got = luxemburg_norm(KERNEL_GAUGES[name], np.array([0.0, -a, 0.0]))
+            assert got == pytest.approx(a / tau, rel=1e-11, abs=ABS_TOL), name
+
+
+def test_luxemburg_raises_when_the_norm_overflows():
+    with pytest.raises(ConvergenceError):
+        luxemburg_norm(OrliczFunction.power(1.0), np.array([1.7e308, 1.7e308]))
+
+
+def test_power_gauges_use_the_closed_form_but_luxemburg_norm_solves(monkeypatch):
+    calls = []
+    original = OrliczFunction.values
+
+    def counting(self, t):
+        calls.append(1)
+        return original(self, t)
+
+    monkeypatch.setattr(OrliczFunction, "values", counting)
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal(9)
+    rows = rng.standard_normal((4, 9))
+    for p in (1.0, 2.0, 3.0):
+        gauge = NormSpec.orlicz(OrliczFunction.power(p))
+        assert vector_norm(x, gauge) == vector_norm(x, NormSpec.power(p))
+        np.testing.assert_array_equal(rowwise_norm(rows, gauge), rowwise_norm(rows, NormSpec.power(p)))
+    assert calls == []
+    luxemburg_norm(OrliczFunction.power(3.0), x)
+    assert len(calls) > 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("p", [2.0, 3.0, 10.0])
+def test_closed_form_survives_huge_and_tiny_entries(p):
+    # |x|^p leaves the floating range long before ||x||_p does; the
+    # closed form must still agree with the Luxemburg solver
+    base = np.array([3.0, -4.0, 0.0])
+    for scale in (1e-200, 1e-120, 1e-40, 1e40, 1e120, 1e200):
+        x = base * scale
+        want = scale * float(np.sum(np.abs(base) ** p) ** (1.0 / p))
+        for spec in (NormSpec.power(p), NormSpec.orlicz(OrliczFunction.power(p))):
+            assert vector_norm(x, spec) == pytest.approx(want, rel=1e-14)
+            np.testing.assert_allclose(rowwise_norm(np.vstack([x, 0.0 * x]), spec), [want, 0.0], rtol=1e-14)
+        # the solver's bracket is 1e-12 * (1 + rho) wide, absolute for tiny norms
+        assert luxemburg_norm(OrliczFunction.power(p), x) == pytest.approx(want, rel=1e-11, abs=ABS_TOL)
 
 
 def test_rowwise_power_and_max():
@@ -196,8 +356,9 @@ def test_block_psi_norm_rejects_negative_profile():
 
 
 def test_block_psi_norm_two_routes_agree():
-    # closed-form power aggregation vs the Luxemburg route for the same
-    # exponent: independent computations, same number
+    # closed-form power aggregation vs the Luxemburg solver for the same
+    # exponent: independent computations, same number.  A power gauge
+    # aggregate takes the closed form too.
     rng = np.random.default_rng(12)
     for p in (1.5, 2.0, 4.0):
         direct = NormSpec.power(p)
@@ -205,8 +366,8 @@ def test_block_psi_norm_two_routes_agree():
         for _ in range(10):
             profile = np.abs(rng.standard_normal(5))
             a = block_psi_norm(profile, direct)
-            b = block_psi_norm(profile, via_gauge)
-            assert a == pytest.approx(b, rel=1e-9)
+            assert block_psi_norm(profile, via_gauge) == a
+            assert luxemburg_norm(OrliczFunction.power(p), profile) == pytest.approx(a, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
