@@ -314,69 +314,55 @@ def _cmd_validate(args) -> None:
 # Sweeps
 
 
-def _sweep_epsilon(args, grid: list[float]) -> tuple[list[str], list[list]]:
-    doc = _load_doc(args.scenario)
-    header = [
-        "epsilon", "sigma", "sigma_method", "c_hilbertian", "threshold",
-        "hypothesis_met", "r_norm", "s_condition", "similarity_residual", "verdict", "error",
+def _epsilon_row(args, doc: dict, eps: float) -> list:
+    sc: StabilityScenario = scenario_from_doc(doc, epsilon_override=eps)
+    rep = stability.orlicz_stability_check(
+        sc.p_family, sc.j_family, sc.psi, hilbertian=sc.sup_bound, samples=args.samples, seed=args.seed,
+    )
+    return [
+        rep.sigma, rep.sigma_method, rep.c_hilbertian, rep.threshold, rep.hypothesis_met,
+        rep.r_norm, rep.s_condition, rep.similarity_residual, rep.verdict,
     ]
-    rows: list[list] = []
-    for eps in grid:
-        try:
-            sc: StabilityScenario = scenario_from_doc(doc, epsilon_override=eps)
-            rep = stability.orlicz_stability_check(
-                sc.p_family, sc.j_family, sc.psi, hilbertian=sc.sup_bound,
-                samples=args.samples, seed=args.seed,
-            )
-            rows.append([
-                eps, rep.sigma, rep.sigma_method, rep.c_hilbertian, rep.threshold,
-                rep.hypothesis_met, rep.r_norm, rep.s_condition, rep.similarity_residual,
-                rep.verdict, "",
-            ])
-        except (DocumentError, ValueError, BudgetError, ConvergenceError, SingularMatrixError) as exc:
-            rows.append([eps] + [None] * (len(header) - 2) + [str(exc)])
-    return header, rows
 
 
-def _sweep_angle(args, grid: list[float]) -> tuple[list[str], list[list]]:
-    header = ["angle_degrees", "theta", "direction_ab", "direction_ba", "method", "error"]
-    rows: list[list] = []
-    for angle in grid:
-        try:
-            a, b, norm = _angle_pair(angle)
-            rep = stability.opening(a, b, norm, samples=args.samples, seed=args.seed)
-            rows.append([angle, rep.theta, rep.direction_ab, rep.direction_ba, rep.method, ""])
-        except (DocumentError, ValueError, BudgetError, ConvergenceError, SingularMatrixError) as exc:
-            rows.append([angle] + [None] * (len(header) - 2) + [str(exc)])
-    return header, rows
+def _angle_row(args, doc: dict | None, angle: float) -> list:
+    rep = stability.opening(*_angle_pair(angle), samples=args.samples, seed=args.seed)
+    return [rep.theta, rep.direction_ab, rep.direction_ba, rep.method]
 
 
-def _sweep_p(args, grid: list[float]) -> tuple[list[str], list[list]]:
-    header = ["p", "lower", "upper", "crossover", "error"]
-    rows: list[list] = []
-    for p in grid:
-        try:
-            k = geometry.khintchine_constants(p)
-            rows.append([p, k.lower, k.upper, k.crossover, ""])
-        except (DocumentError, ValueError, BudgetError, ConvergenceError) as exc:
-            rows.append([p] + [None] * (len(header) - 2) + [str(exc)])
-    return header, rows
+def _p_row(args, doc: dict | None, p: float) -> list:
+    k = geometry.khintchine_constants(p)
+    return [k.lower, k.upper, k.crossover]
+
+
+# parameter -> (CSV header without the trailing error column, row function)
+_SWEEPS = {
+    "epsilon": (
+        ["epsilon", "sigma", "sigma_method", "c_hilbertian", "threshold",
+         "hypothesis_met", "r_norm", "s_condition", "similarity_residual", "verdict"],
+        _epsilon_row,
+    ),
+    "angle": (["angle_degrees", "theta", "direction_ab", "direction_ba", "method"], _angle_row),
+    "p": (["p", "lower", "upper", "crossover"], _p_row),
+}
 
 
 def _cmd_sweep(args) -> None:
     grid = _parse_grid(args.grid)
+    header, row = _SWEEPS[args.parameter]
+    doc = None
     if args.parameter == "epsilon":
         if not args.scenario:
             raise DocumentError("epsilon sweep needs --scenario")
-        header, rows = _sweep_epsilon(args, grid)
-    elif args.parameter == "angle":
-        header, rows = _sweep_angle(args, grid)
-    elif args.parameter == "p":
-        header, rows = _sweep_p(args, grid)
-    else:
-        raise DocumentError(f"unknown sweep parameter {args.parameter!r}")
+        doc = _load_doc(args.scenario)
+    rows: list[list] = []
+    for value in grid:
+        try:
+            rows.append([value, *row(args, doc, value), ""])
+        except (DocumentError, ValueError, BudgetError, ConvergenceError, SingularMatrixError) as exc:
+            rows.append([value] + [None] * (len(header) - 1) + [str(exc)])
     args.format = "csv"
-    _emit(args, "sweep", {}, csv_rows=(header, rows))
+    _emit(args, "sweep", {}, csv_rows=(header + ["error"], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("sweep", help="CSV sweep over epsilon, angle, or p")
-    p.add_argument("--parameter", choices=("epsilon", "angle", "p"), required=True)
+    p.add_argument("--parameter", choices=tuple(_SWEEPS), required=True)
     p.add_argument("--grid", required=True, help="comma list or start:stop:count")
     p.add_argument("--scenario", default=None)
     _add_common(p, fmt=False)

@@ -1,9 +1,11 @@
 """Finite projection families and the subspaces they carve out.
 
-A family is a list of N x N blocks P_0 ... P_{K-1} acting on a model
-space.  A valid family is idempotent blockwise, mutually annihilating,
-and complete (the blocks sum to the identity); validation measures the
-defect of each property in spectral norm instead of assuming it.
+A family is one stacked (K, N, N) array of blocks P_0 ... P_{K-1}
+acting on a model space, so every sum over the blocks is a stacked
+matmul or a reduction over the first axis.  A valid family is
+idempotent blockwise, mutually annihilating, and complete (the blocks
+sum to the identity); validation measures the defect of each property
+in spectral norm instead of assuming it.
 """
 from __future__ import annotations
 
@@ -39,56 +41,62 @@ class ModelSpace:
 class ProjectionFamily:
     """Ordered blocks of one candidate decomposition.
 
-    Construction checks only structure (square blocks of the right size,
-    finite entries, no zero block); the algebraic identities are checked
-    by validate_family so that defective families can still be built and
-    inspected.
+    ``blocks`` is one read-only array of shape (K, N, N) in the space's
+    dtype.  Construction checks only structure (square blocks of the
+    right size, finite entries, no zero block, no complex entries in a
+    real space); the algebraic identities are checked by validate_family
+    so that defective families can still be built and inspected.
     """
 
-    def __init__(self, blocks: Sequence[np.ndarray], space: ModelSpace):
+    def __init__(self, blocks: Sequence[np.ndarray] | np.ndarray, space: ModelSpace):
         if len(blocks) == 0:
             raise ValueError("a family needs at least one block")
         n = space.dim
-        prepared = []
         for i, raw in enumerate(blocks):
-            b = np.array(raw, dtype=space.dtype)
-            if b.shape != (n, n):
-                raise ValueError(f"block {i} has shape {b.shape}, expected {(n, n)}")
-            if not np.all(np.isfinite(b.view(float) if b.dtype == complex else b)):
-                raise ValueError(f"block {i} has non-finite entries")
-            if not np.any(b != 0):
-                raise ValueError(f"block {i} is identically zero")
-            b.setflags(write=False)
-            prepared.append(b)
-        self.blocks = tuple(prepared)
+            if np.shape(raw) != (n, n):
+                raise ValueError(f"block {i} has shape {np.shape(raw)}, expected {(n, n)}")
+        stack = _in_space_dtype(blocks, space, "a block")
+        for bad, what in (
+            (~np.isfinite(stack).all(axis=(1, 2)), "has non-finite entries"),
+            (~np.any(stack != 0, axis=(1, 2)), "is identically zero"),
+        ):
+            if np.any(bad):
+                raise ValueError(f"block {np.flatnonzero(bad)[0]} {what}")
+        stack.setflags(write=False)
+        self.blocks = stack
         self.space = space
-        self._sum: np.ndarray | None = None
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return self.blocks.shape[0]
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
-    def block_sum(self) -> np.ndarray:
-        if self._sum is None:
-            self._sum = sum(self.blocks[1:], start=self.blocks[0].copy())
-        return self._sum
-
     def default_tolerance(self) -> float:
         return 1e-10 * self.space.dim
 
-    def apply(self, index: int, x: np.ndarray) -> np.ndarray:
-        return self.blocks[index] @ x
+
+def _in_space_dtype(raw, space: ModelSpace, what: str) -> np.ndarray:
+    """A fresh copy of ``raw`` in the space's dtype.
+
+    A real space refuses entries with a nonzero imaginary part instead
+    of letting the cast drop them.
+    """
+    a = np.asarray(raw)
+    if np.iscomplexobj(a) and space.scalars == "real":
+        if np.any(a.imag != 0):
+            raise ValueError(f"{what} has entries with a nonzero imaginary part, but the space is real")
+        a = a.real
+    return np.array(a, dtype=space.dtype)
 
 
 class Subspace:
     """Column span of a full-column-rank basis matrix."""
 
     def __init__(self, basis: np.ndarray, space: ModelSpace):
-        b = np.array(basis, dtype=space.dtype)
+        b = _in_space_dtype(basis, space, "the basis")
         if b.ndim != 2 or b.shape[0] != space.dim or b.shape[1] < 1:
             raise ValueError(f"basis must be {space.dim} x r with r >= 1, got {b.shape}")
         u, s, _ = np.linalg.svd(b, full_matrices=False)
@@ -122,7 +130,7 @@ class FamilyReport:
 
 @dataclass(frozen=True)
 class ExpansionResult:
-    components: tuple[np.ndarray, ...]
+    components: np.ndarray  # (K, N): row i is P_i x
     defect: float
 
 
@@ -133,13 +141,10 @@ def make_coordinate_family(space: ModelSpace, block_sizes: Sequence[int]) -> Pro
         raise ValueError("block sizes must be positive")
     if sum(sizes) != space.dim:
         raise ValueError(f"block sizes sum to {sum(sizes)}, expected {space.dim}")
-    blocks = []
-    start = 0
-    for s in sizes:
-        d = np.zeros(space.dim)
-        d[start : start + s] = 1.0
-        blocks.append(np.diag(d).astype(space.dtype))
-        start += s
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    diag = np.arange(space.dim)
+    blocks = np.zeros((len(sizes), space.dim, space.dim), dtype=space.dtype)
+    blocks[owner, diag, diag] = 1.0
     return ProjectionFamily(blocks, space)
 
 
@@ -157,23 +162,19 @@ def validate_family(
     """
     tol = family.default_tolerance() if tolerance is None else float(tolerance)
     blocks = family.blocks
-    idem = max(spectral_norm(b @ b - b) for b in blocks)
-    cross = 0.0
-    for i, bi in enumerate(blocks):
-        for j, bj in enumerate(blocks):
-            if i != j:
-                cross = max(cross, spectral_norm(bi @ bj))
-    complete = spectral_norm(family.block_sum() - np.eye(family.dim))
-    ranks = []
-    for b in blocks:
-        s = np.linalg.svd(b, compute_uv=False)
-        ranks.append(int(np.sum(s > RANK_REL_THRESHOLD * s[0])))
+    idem = spectral_norm(blocks @ blocks - blocks)
+    # one row of products P_i P_j at a time: the full (K, K, N, N) stack
+    # would grow with K^2
+    cross = max(spectral_norm(b @ np.delete(blocks, i, axis=0)) for i, b in enumerate(blocks))
+    complete = spectral_norm(blocks.sum(axis=0) - np.eye(family.dim))
+    s = np.linalg.svd(blocks, compute_uv=False)
+    ranks = np.sum(s > RANK_REL_THRESHOLD * s[:, :1], axis=1)
     ok = idem <= tol and cross <= tol and (complete <= tol or not require_completeness)
     return FamilyReport(
         idempotency_defect=idem,
         cross_defect=cross,
         completeness_defect=complete,
-        ranks=tuple(ranks),
+        ranks=tuple(int(r) for r in ranks),
         tolerance=tol,
         completeness_required=require_completeness,
         ok=ok,
@@ -185,14 +186,14 @@ def expand(x: np.ndarray, family: ProjectionFamily) -> ExpansionResult:
     v = np.asarray(x, dtype=family.space.dtype)
     if v.shape != (family.dim,):
         raise ValueError(f"vector has shape {v.shape}, expected ({family.dim},)")
-    comps = tuple(b @ v for b in family.blocks)
-    defect = vector_norm(sum(comps) - v, family.space.norm)
+    comps = family.blocks @ v
+    defect = vector_norm(comps.sum(axis=0) - v, family.space.norm)
     return ExpansionResult(components=comps, defect=float(defect))
 
 
 def transport_family(s_matrix: np.ndarray, family: ProjectionFamily) -> ProjectionFamily:
     """Conjugated family S P S^{-1} for invertible S."""
-    s = np.asarray(s_matrix, dtype=family.space.dtype)
+    s = _in_space_dtype(s_matrix, family.space, "the transport matrix")
     if s.shape != (family.dim, family.dim):
         raise ValueError("transport matrix has the wrong shape")
     inv: InversionResult = invert_with_condition(s)
@@ -200,8 +201,7 @@ def transport_family(s_matrix: np.ndarray, family: ProjectionFamily) -> Projecti
         raise SingularMatrixError(
             f"transport matrix is singular or too ill-conditioned (cond={inv.condition:.3e})"
         )
-    blocks = [s @ b @ inv.inverse for b in family.blocks]
-    return ProjectionFamily(blocks, family.space)
+    return ProjectionFamily(s @ family.blocks @ inv.inverse, family.space)
 
 
 def range_subspace(block: np.ndarray, space: ModelSpace) -> Subspace:
@@ -211,7 +211,7 @@ def range_subspace(block: np.ndarray, space: ModelSpace) -> Subspace:
     a disagreement beyond 0.1 means the input is not close to a
     projection and is rejected.
     """
-    p = np.asarray(block, dtype=space.dtype)
+    p = _in_space_dtype(block, space, "the block")
     if p.shape != (space.dim, space.dim):
         raise ValueError("block has the wrong shape")
     u, s, _ = np.linalg.svd(p)
@@ -228,7 +228,8 @@ def range_subspace(block: np.ndarray, space: ModelSpace) -> Subspace:
 
 def selfadjoint_defect(family: ProjectionFamily) -> float:
     """Largest deviation of a block from its own conjugate transpose."""
-    return max(spectral_norm(b - b.conj().T) for b in family.blocks)
+    b = family.blocks
+    return spectral_norm(b - np.swapaxes(b.conj(), 1, 2))
 
 
 def family_rank(block: np.ndarray) -> int:

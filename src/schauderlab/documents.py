@@ -133,7 +133,11 @@ def parse_norm_spec(text: str) -> NormSpec:
 
 def family_from_doc(doc: dict) -> ProjectionFamily:
     """{"N": n, "norm": {...}, "scalars"?: "real"|"complex",
-        "blocks": [flat row-major lists]} or {"coordinate_blocks": [sizes]}."""
+        "blocks": [flat row-major lists]} or {"coordinate_blocks": [sizes]}.
+
+    A complex block is {"real": [...], "imag": [...]}, each part a flat
+    row-major list, the form family_to_doc writes for complex families.
+    """
     if not isinstance(doc, dict):
         raise DocumentError("family document must be an object")
     try:
@@ -151,7 +155,14 @@ def family_from_doc(doc: dict) -> ProjectionFamily:
         raise DocumentError("family document needs 'blocks' or 'coordinate_blocks'")
     blocks = []
     for i, flat in enumerate(doc["blocks"]):
-        arr = np.asarray(flat, dtype=float)
+        if isinstance(flat, dict):
+            try:
+                arr = np.asarray(flat["real"], dtype=float).astype(complex)
+                arr.imag = np.asarray(flat["imag"], dtype=float)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DocumentError(f"bad complex block {i}: {exc!r}") from exc
+        else:
+            arr = np.asarray(flat, dtype=float)
         if arr.ndim == 2 and arr.shape == (n, n):
             blocks.append(arr)
             continue
@@ -165,11 +176,16 @@ def family_from_doc(doc: dict) -> ProjectionFamily:
 
 
 def family_to_doc(family: ProjectionFamily) -> dict:
+    flat = family.blocks.reshape(family.block_count, -1)
+    if family.space.scalars == "complex":
+        blocks = [{"real": re, "imag": im} for re, im in zip(flat.real.tolist(), flat.imag.tolist())]
+    else:
+        blocks = flat.tolist()
     return {
         "N": family.dim,
         "norm": norm_to_doc(family.space.norm),
         "scalars": family.space.scalars,
-        "blocks": [np.asarray(b).real.ravel().tolist() for b in family.blocks],
+        "blocks": blocks,
     }
 
 

@@ -23,7 +23,6 @@ from .kernel import (
     SAMPLED_UPPER_BOUND,
     SPECTRAL_EXACT,
     ConstantEstimate,
-    gamma_fn,
     solve_monotone,
     unit_sphere_sampler,
 )
@@ -187,7 +186,7 @@ def unconditional_constant(
     best_witness = None
     for _ in range(samples):
         x = next(sampler)
-        tuple_rows = np.stack([b @ x for b in family.blocks])
+        tuple_rows = family.blocks @ x
         denom = vector_norm(tuple_rows.sum(axis=0), norm)
         if denom <= 0:
             continue
@@ -209,15 +208,6 @@ def unconditional_constant(
 # Frame-style constants in the euclidean ambient
 
 
-def _gram_of_blocks(family: ProjectionFamily, skip_first: bool = False) -> np.ndarray:
-    blocks = family.blocks[1:] if skip_first else family.blocks
-    n = family.dim
-    g = np.zeros((n, n), dtype=family.space.dtype)
-    for b in blocks:
-        g = g + b.conj().T @ b
-    return g
-
-
 def riesz_constant(family: ProjectionFamily) -> ConstantEstimate:
     """Smallest C with (1/C)||x||^2 <= sum ||P_n x||^2 <= C ||x||^2.
 
@@ -226,7 +216,8 @@ def riesz_constant(family: ProjectionFamily) -> ConstantEstimate:
     """
     if family.space.norm.power_exponent() != 2.0:
         raise ValueError("riesz_constant requires the euclidean ambient norm")
-    g = _gram_of_blocks(family)
+    b = family.blocks
+    g = (np.swapaxes(b.conj(), 1, 2) @ b).sum(axis=0)  # sum_k B_k^* B_k
     vals, vecs = np.linalg.eigh(g)
     lo = float(vals[0])
     hi = float(vals[-1])
@@ -239,8 +230,7 @@ def riesz_constant(family: ProjectionFamily) -> ConstantEstimate:
 
 def _profile_ratio(family: ProjectionFamily, psi: NormSpec, x: np.ndarray) -> float:
     norm = family.space.norm
-    profile = np.array([vector_norm(b @ x, norm) for b in family.blocks])
-    agg = block_psi_norm(profile, psi)
+    agg = block_psi_norm(rowwise_norm(family.blocks @ x, norm), psi)
     if agg == 0.0:
         return math.inf
     return vector_norm(x, norm) / agg
@@ -281,30 +271,23 @@ def _coordinate_refine(
     return x, best
 
 
-def _extremal_ratio(
-    family: ProjectionFamily,
-    psi: NormSpec,
-    samples: int,
-    seed: int,
-    *,
-    maximize: bool,
-) -> tuple[float, np.ndarray, int]:
-    norm = family.space.norm
-    sampler = unit_sphere_sampler(norm, family.dim, seed)
-    scored: list[tuple[float, np.ndarray]] = []
-    for _ in range(samples):
-        x = next(sampler)
-        scored.append((_profile_ratio(family, psi, x), x))
+def _sampled_extremum(
+    ratio, norm: NormSpec, dim: int, samples: int, seed: int, *, maximize: bool
+) -> tuple[float, np.ndarray]:
+    """Extreme of ``ratio`` over a seeded unit-sphere sample.
+
+    The three best samples are each refined by coordinate search; the
+    best value seen and its vector are returned.
+    """
+    sampler = unit_sphere_sampler(norm, dim, seed)
+    scored = [(ratio(x), x) for x in itertools.islice(sampler, samples)]
     scored.sort(key=lambda t: t[0], reverse=maximize)
     best_val, best_x = scored[0]
-    for val, x in scored[:3]:
-        xr, vr = _coordinate_refine(
-            lambda y: _profile_ratio(family, psi, y), x, norm, maximize=maximize
-        )
-        better = vr > best_val if maximize else vr < best_val
-        if better:
+    for _, x in scored[:3]:
+        xr, vr = _coordinate_refine(ratio, x, norm, maximize=maximize)
+        if (vr > best_val) if maximize else (vr < best_val):
             best_val, best_x = vr, xr
-    return best_val, best_x, samples
+    return best_val, best_x
 
 
 def hilbertian_constant(
@@ -317,7 +300,8 @@ def hilbertian_constant(
     ascent.
     """
     if family.space.norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:
-        g = _gram_of_blocks(family)
+        b = family.blocks
+        g = (np.swapaxes(b.conj(), 1, 2) @ b).sum(axis=0)
         vals, vecs = np.linalg.eigh(g)
         lo = float(vals[0])
         if lo <= 0:
@@ -325,8 +309,10 @@ def hilbertian_constant(
         return ConstantEstimate(
             value=1.0 / math.sqrt(lo), method=SPECTRAL_EXACT, witness=vecs[:, 0], trials=0
         )
-    val, x, trials = _extremal_ratio(family, psi, samples, seed, maximize=True)
-    return ConstantEstimate(value=val, method=SAMPLED_LOWER_BOUND, witness=x, trials=trials)
+    val, x = _sampled_extremum(
+        lambda y: _profile_ratio(family, psi, y), family.space.norm, family.dim, samples, seed, maximize=True
+    )
+    return ConstantEstimate(value=val, method=SAMPLED_LOWER_BOUND, witness=x, trials=samples)
 
 
 def besselian_constant(
@@ -338,14 +324,17 @@ def besselian_constant(
     maximises, so its tag marks an upper bound on the true constant.
     """
     if family.space.norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:
-        g = _gram_of_blocks(family)
+        b = family.blocks
+        g = (np.swapaxes(b.conj(), 1, 2) @ b).sum(axis=0)
         vals, vecs = np.linalg.eigh(g)
         lo = max(float(vals[0]), 0.0)
         return ConstantEstimate(
             value=math.sqrt(lo), method=SPECTRAL_EXACT, witness=vecs[:, 0], trials=0
         )
-    val, x, trials = _extremal_ratio(family, psi, samples, seed, maximize=False)
-    return ConstantEstimate(value=val, method=SAMPLED_UPPER_BOUND, witness=x, trials=trials)
+    val, x = _sampled_extremum(
+        lambda y: _profile_ratio(family, psi, y), family.space.norm, family.dim, samples, seed, maximize=False
+    )
+    return ConstantEstimate(value=val, method=SAMPLED_UPPER_BOUND, witness=x, trials=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +350,7 @@ def khintchine_crossover() -> float:
     """
 
     def f(p: float) -> float:
-        return gamma_fn((p + 1.0) / 2.0) - _SQRT_PI / 2.0
+        return math.gamma((p + 1.0) / 2.0) - _SQRT_PI / 2.0
 
     return solve_monotone(f, 0.0, (1.0, 1.95), tol_abs=1e-11)
 
@@ -382,7 +371,7 @@ def khintchine_constants(p: float) -> KhintchineConstants:
     if p <= p0:
         lower = 2.0 ** (0.5 - 1.0 / p)
     elif p < 2.0:
-        lower = math.sqrt(2.0) * (gamma_fn((p + 1.0) / 2.0) / _SQRT_PI) ** (1.0 / p)
+        lower = math.sqrt(2.0) * (math.gamma((p + 1.0) / 2.0) / _SQRT_PI) ** (1.0 / p)
     else:
         # the gamma formula equals 1 exactly at p = 2; evaluating it there
         # overshoots by one ulp, so route the endpoint into this branch
@@ -390,7 +379,7 @@ def khintchine_constants(p: float) -> KhintchineConstants:
     if p <= 2.0:
         upper = 1.0
     else:
-        upper = math.sqrt(2.0) * (gamma_fn((p + 1.0) / 2.0) / _SQRT_PI) ** (1.0 / p)
+        upper = math.sqrt(2.0) * (math.gamma((p + 1.0) / 2.0) / _SQRT_PI) ** (1.0 / p)
     return KhintchineConstants(p=float(p), lower=lower, upper=upper, crossover=p0)
 
 
@@ -450,13 +439,13 @@ def lp_sandwich_constants(p: float, unconditional: float = 1.0) -> SandwichConst
             phi=NormSpec.power(p), upper_constant=2.0 * m,
         )
     if p < 2.0:
-        lower = (gamma_fn((p + 1.0) / 2.0) / _SQRT_PI) ** (1.0 / p) / (math.sqrt(2.0) * m)
+        lower = (math.gamma((p + 1.0) / 2.0) / _SQRT_PI) ** (1.0 / p) / (math.sqrt(2.0) * m)
         return SandwichConstants(
             p=p, unconditional=m,
             psi=NormSpec.power(2.0), lower_constant=lower,
             phi=NormSpec.power(p), upper_constant=2.0 * m,
         )
-    upper = math.sqrt(8.0) * (gamma_fn((p + 1.0) / 2.0) / _SQRT_PI) ** (1.0 / p) * m
+    upper = math.sqrt(8.0) * (math.gamma((p + 1.0) / 2.0) / _SQRT_PI) ** (1.0 / p) * m
     return SandwichConstants(
         p=p, unconditional=m,
         psi=NormSpec.power(p), lower_constant=1.0 / (2.0 * m),
@@ -467,25 +456,17 @@ def lp_sandwich_constants(p: float, unconditional: float = 1.0) -> SandwichConst
 def _battery_matrix(family: ProjectionFamily, samples: int, seed: int) -> tuple[list[str], np.ndarray]:
     """Coordinate vectors, one block-aligned vector per block, then samples."""
     n = family.dim
-    labels: list[str] = []
-    rows: list[np.ndarray] = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        labels.append(f"coordinate-{i}")
-        rows.append(e)
     rng = np.random.default_rng(seed ^ 0x5AB5)
-    probe = rng.standard_normal(n)
-    for j, b in enumerate(family.blocks):
-        y = b @ probe
-        if np.any(y != 0):
-            labels.append(f"block-{j}")
-            rows.append(y)
+    block_rows = family.blocks @ rng.standard_normal(n)
+    kept = np.flatnonzero(np.any(block_rows != 0, axis=1))
     sampler = unit_sphere_sampler(family.space.norm, n, seed)
-    for t in range(samples):
-        labels.append(f"sample-{t}")
-        rows.append(next(sampler))
-    return labels, np.stack(rows)
+    sampled = list(itertools.islice(sampler, samples))
+    labels = (
+        [f"coordinate-{i}" for i in range(n)]
+        + [f"block-{j}" for j in kept]
+        + [f"sample-{t}" for t in range(samples)]
+    )
+    return labels, np.vstack([np.eye(n), block_rows[kept], *sampled])
 
 
 def type_cotype_check(
@@ -506,7 +487,9 @@ def type_cotype_check(
     norm = family.space.norm
     labels, batch = _battery_matrix(family, samples, seed)
     ambient = rowwise_norm(batch, norm)
-    profiles = np.column_stack([rowwise_norm(batch @ b.T, norm) for b in family.blocks])
+    # y[j, i] = P_j x_i, so row i of profiles holds ||P_j x_i|| for every block j
+    y = batch @ np.swapaxes(family.blocks, 1, 2)
+    profiles = rowwise_norm(y.reshape(-1, family.dim), norm).reshape(family.block_count, -1).T
     psi_agg = rowwise_norm(profiles, psi)
     phi_agg = rowwise_norm(profiles, phi)
     lo_margin = ambient - lower_constant * psi_agg

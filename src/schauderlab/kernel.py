@@ -1,4 +1,4 @@
-"""Shared numerical services: root finding, factorizations, operator norms,
+"""Shared numerical services: root finding, inversion, operator norms,
 unit-sphere sampling, and the estimate container used by every constant
 computed in this package.
 
@@ -63,26 +63,6 @@ class InversionResult:
     residual: float = 0.0
 
 
-@dataclass(frozen=True)
-class SpectralFactorization:
-    """Singular value decomposition with the reconstruction residual kept
-    alongside, so callers can assert it instead of trusting it."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    vh: np.ndarray
-    residual: float
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "SpectralFactorization":
-        m = np.asarray(matrix)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        rebuilt = (u * s) @ vh
-        scale = s[0] if s.size and s[0] > 0 else 1.0
-        res = float(np.linalg.norm(rebuilt - m, 2)) / scale
-        return cls(u=u, singular_values=s, vh=vh, residual=res)
-
-
 def solve_monotone(
     f: Callable[[float], float],
     target: float,
@@ -129,22 +109,12 @@ def solve_monotone(
     return hi
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function on the positive reals.
-
-    Delegates to the C library's Lanczos-style implementation, which is
-    accurate to well under the 1e-12 relative budget on this domain.
-    """
-    if not x > 0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
-
-
 def spectral_norm(matrix: np.ndarray) -> float:
+    """Largest singular value; of a stack (..., n, n), the largest over the stack."""
     m = np.asarray(matrix)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.norm(m, 2, axis=(-2, -1)).max())
 
 
 def invert_with_condition(matrix: np.ndarray, *, cond_limit: float = 1e12) -> InversionResult:

@@ -111,12 +111,6 @@ class OrliczFunction:
         return np.einsum("...i,...i->...", t, self._slopes[seg])
 
 
-def eval_phi(phi: OrliczFunction, t: float) -> float:
-    if t < 0:
-        raise ValueError(f"gauge argument must be >= 0, got {t}")
-    return float(phi.values(np.asarray(t, dtype=float)))
-
-
 @dataclass(frozen=True)
 class NormSpec:
     """Which norm a space carries: a power norm, an Orlicz norm, or max."""
@@ -367,7 +361,7 @@ def divergence_witness(phi: OrliczFunction, threshold: float, *, max_doublings: 
     """Smallest dyadic t = 2**k with phi(t) > threshold; checks growth."""
     t = 1.0
     for _ in range(max_doublings):
-        if eval_phi(phi, t) > threshold:
+        if float(phi.values(t)) > threshold:
             return t
         t *= 2.0
     raise ConvergenceError(f"gauge did not exceed {threshold} below t = {t}")

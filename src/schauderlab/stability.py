@@ -18,7 +18,7 @@ import numpy as np
 
 from .decomposition import ProjectionFamily, Subspace, family_rank, range_subspace, selfadjoint_defect
 from .errors import ConvergenceError
-from .geometry import _coordinate_refine, hilbertian_constant
+from .geometry import _sampled_extremum, hilbertian_constant
 from .kernel import (
     EXACT_ENUMERATION,
     SAMPLED_LOWER_BOUND,
@@ -30,7 +30,7 @@ from .kernel import (
     spectral_norm,
     unit_sphere_sampler,
 )
-from .orlicz import NormSpec, block_psi_norm, vector_norm
+from .orlicz import NormSpec, block_psi_norm, rowwise_norm, vector_norm
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _RANK_TOL = 1e-10
@@ -214,19 +214,11 @@ def lambda_threshold(family: ProjectionFamily, norm: NormSpec | None = None) -> 
     certified lower bound, which is the safe direction.
     """
     ambient = norm if norm is not None else family.space.norm
-    exact = True
-    sup_partial = 0.0
-    running = np.zeros((family.dim, family.dim), dtype=family.space.dtype)
-    for b in family.blocks:
-        running = running + b
-        est = operator_norm(running, ambient)
-        exact = exact and est.method in (SPECTRAL_EXACT, EXACT_ENUMERATION)
-        sup_partial = max(sup_partial, est.value)
-    sup_block = 0.0
-    for b in family.blocks:
-        est = operator_norm(b, ambient)
-        exact = exact and est.method in (SPECTRAL_EXACT, EXACT_ENUMERATION)
-        sup_block = max(sup_block, est.value)
+    partial = [operator_norm(m, ambient) for m in np.cumsum(family.blocks, axis=0)]
+    single = [operator_norm(b, ambient) for b in family.blocks]
+    exact = all(est.method in (SPECTRAL_EXACT, EXACT_ENUMERATION) for est in partial + single)
+    sup_partial = max(est.value for est in partial)
+    sup_block = max(est.value for est in single)
     value = 1.0 / (4.0 * sup_partial * (1.0 + sup_block) ** 2)
     return ThresholdReport(
         value=value,
@@ -298,38 +290,22 @@ def perturbation_sigma(
         raise ValueError("families must share dimension and block count")
     norm = p_family.space.norm
     n = p_family.dim
-    parts = [
-        p_family.blocks[i] @ (j_family.blocks[i] - p_family.blocks[i])
-        for i in range(1, p_family.block_count)
-    ]
-    if not parts:
+    if p_family.block_count == 1:
         e = np.zeros(n)
         e[0] = 1.0
         return ConstantEstimate(value=0.0, method=SPECTRAL_EXACT, witness=e, trials=0)
+    p, j = p_family.blocks[1:], j_family.blocks[1:]
+    parts = p @ (j - p)
 
     if norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:
-        h = np.zeros((n, n), dtype=p_family.space.dtype)
-        for a in parts:
-            h = h + a.conj().T @ a
+        h = (np.swapaxes(parts.conj(), 1, 2) @ parts).sum(axis=0)
         vals, vecs = np.linalg.eigh(h)
         sigma = math.sqrt(max(float(vals[-1]), 0.0))
         return ConstantEstimate(value=sigma, method=SPECTRAL_EXACT, witness=vecs[:, -1], trials=0)
 
-    def ratio(x: np.ndarray) -> float:
-        profile = np.array([vector_norm(a @ x, norm) for a in parts])
-        return block_psi_norm(profile, psi)
-
-    sampler = unit_sphere_sampler(norm, n, seed)
-    scored = []
-    for _ in range(samples):
-        x = next(sampler)
-        scored.append((ratio(x), x))
-    scored.sort(key=lambda t: t[0], reverse=True)
-    best_val, best_x = scored[0]
-    for val, x in scored[:3]:
-        xr, vr = _coordinate_refine(ratio, x, norm, maximize=True)
-        if vr > best_val:
-            best_val, best_x = vr, xr
+    best_val, best_x = _sampled_extremum(
+        lambda x: block_psi_norm(rowwise_norm(parts @ x, norm), psi), norm, n, samples, seed, maximize=True
+    )
     return ConstantEstimate(value=best_val, method=SAMPLED_LOWER_BOUND, witness=best_x, trials=samples)
 
 
@@ -369,10 +345,10 @@ def build_similarity(p_family: ProjectionFamily, j_family: ProjectionFamily) -> 
         raise ValueError("families must share dimension and block count")
     n = p_family.dim
     ambient = p_family.space.norm
-    s_matrix = np.zeros((n, n), dtype=np.result_type(p_family.blocks[0], j_family.blocks[0]))
-    for pb, jb in zip(p_family.blocks, j_family.blocks):
-        s_matrix = s_matrix + pb @ jb
-    remainder = np.eye(n) - p_family.blocks[0] - (s_matrix - p_family.blocks[0] @ j_family.blocks[0])
+    p, j = p_family.blocks, j_family.blocks
+    products = p @ j
+    s_matrix = products.sum(axis=0)
+    remainder = np.eye(n) - p[0] - (s_matrix - products[0])
     r_est = operator_norm(remainder, ambient)
 
     inv = invert_with_condition(s_matrix)
@@ -386,9 +362,7 @@ def build_similarity(p_family: ProjectionFamily, j_family: ProjectionFamily) -> 
             similarity_residual=None,
             residual_tolerance=None,
         )
-    residual = 0.0
-    for pb, jb in zip(p_family.blocks, j_family.blocks):
-        residual = max(residual, spectral_norm(jb - inv.inverse @ pb @ s_matrix))
+    residual = spectral_norm(j - inv.inverse @ p @ s_matrix)
     tol = RESIDUAL_TOLERANCE * (1.0 + inv.condition)
     return StabilityReport(
         verdict="similar" if residual <= tol else "residual too large",

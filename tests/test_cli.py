@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import schauderlab.cli as cli
-from schauderlab.decomposition import ModelSpace, make_coordinate_family
+from schauderlab.decomposition import ModelSpace, make_coordinate_family, transport_family, validate_family
 from schauderlab.documents import (
     family_from_doc,
     family_to_doc,
@@ -78,6 +78,21 @@ def test_family_doc_roundtrip():
     assert back.block_count == 2
     for a, b in zip(back.blocks, fam.blocks):
         np.testing.assert_array_equal(a, b)
+
+
+def test_family_doc_complex_roundtrip_is_exact():
+    space = ModelSpace(4, NormSpec.power(2.0), scalars="complex")
+    fam = make_coordinate_family(space, [2, 2])
+    rng = np.random.default_rng(33)
+    s = np.eye(4) + 0.1 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    moved = transport_family(s, fam)
+    assert np.any(moved.blocks.imag != 0)
+    back = family_from_doc(json.loads(render_json(family_to_doc(moved))))
+    np.testing.assert_array_equal(back.blocks, moved.blocks)
+    assert validate_family(back).ok
+    # a real family keeps its flat row-major lists
+    real = make_coordinate_family(ModelSpace(2, NormSpec.power(2.0)), [1, 1])
+    assert family_to_doc(real)["blocks"] == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
 
 
 def test_family_doc_coordinate_shorthand():
@@ -299,6 +314,19 @@ def test_sweep_p_csv(capsys):
     assert len(rows) == 6
     assert float(rows[1][1]) == pytest.approx(2.0**-0.5)
     assert all(r[4] == "" for r in rows[1:])
+
+
+def test_sweep_error_row(capsys):
+    # a failing grid point gives a row with its error; the sweep goes on
+    rc, out, _ = run_cli(capsys, "sweep", "--parameter", "p", "--grid=-1,2")
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 3
+    assert rows[1][:4] == ["-1.0", "", "", ""]
+    assert "p must be positive" in rows[1][4]
+    assert rows[2][:3] == ["2.0", "1.0", "1.0"]
+    assert float(rows[2][3]) == pytest.approx(1.8474163360806413, rel=1e-9)
+    assert rows[2][4] == ""
 
 
 def test_sweep_angle_csv(capsys):

@@ -15,7 +15,7 @@ from schauderlab.decomposition import (
     validate_family,
 )
 from schauderlab.errors import SingularMatrixError
-from schauderlab.orlicz import NormSpec, OrliczFunction
+from schauderlab.orlicz import NormSpec
 
 
 def oblique_projection(b, c):
@@ -59,8 +59,13 @@ def test_coordinate_family_blocks():
     space = ModelSpace(5, NormSpec.power(2.0))
     fam = make_coordinate_family(space, [2, 3])
     assert fam.block_count == 2
+    assert isinstance(fam.blocks, np.ndarray)
+    assert fam.blocks.shape == (2, 5, 5)
+    assert fam.blocks.dtype == np.float64
     np.testing.assert_array_equal(fam.blocks[0], np.diag([1.0, 1.0, 0.0, 0.0, 0.0]))
     np.testing.assert_array_equal(fam.blocks[1], np.diag([0.0, 0.0, 1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError):
+        fam.blocks[0, 0, 0] = 2.0
 
 
 def test_coordinate_family_sizes_must_cover():
@@ -104,6 +109,21 @@ def test_validate_catches_corruption():
     assert max(report.idempotency_defect, report.cross_defect, report.completeness_defect) > 1e-4
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_validate_catches_one_sided_cross_term(reverse):
+    # P_0 P_2 = a e_0 e_2^T while P_2 P_0 = 0, so exactly one ordered
+    # product is nonzero: j > i in the given order, j < i when reversed
+    space = ModelSpace(3, NormSpec.power(2.0))
+    a = 1e-3
+    p0 = np.diag([1.0, 0.0, 0.0])
+    p0[0, 2] = a
+    blocks = [p0, np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])]
+    report = validate_family(ProjectionFamily(blocks[::-1] if reverse else blocks, space))
+    assert not report.ok
+    assert report.idempotency_defect == 0.0
+    assert report.cross_defect == pytest.approx(a, rel=1e-12)
+
+
 def test_validate_incomplete_family_flag():
     space = ModelSpace(4, NormSpec.power(2.0))
     fam = make_coordinate_family(space, [2, 2])
@@ -123,6 +143,27 @@ def test_family_rejects_wrong_shapes():
         ProjectionFamily([], space)
     with pytest.raises(ValueError):
         ProjectionFamily([np.full((3, 3), np.nan)], space)
+    # errors name the offending block
+    with pytest.raises(ValueError, match=r"block 1 has shape \(2, 2\)"):
+        ProjectionFamily([np.eye(3), np.eye(2)], space)
+    with pytest.raises(ValueError, match="block 2 has non-finite entries"):
+        ProjectionFamily([np.eye(3), np.eye(3), np.diag([1.0, np.inf, 0.0])], space)
+    with pytest.raises(ValueError, match="block 1 is identically zero"):
+        ProjectionFamily([np.eye(3), np.zeros((3, 3))], space)
+
+
+def test_real_space_rejects_complex_entries():
+    space = ModelSpace(2, NormSpec.power(2.0))
+    with pytest.raises(ValueError, match="imaginary"):
+        ProjectionFamily([np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + 1e-3j])], space)
+    with pytest.raises(ValueError, match="imaginary"):
+        Subspace(np.array([[1.0], [1j]]), space)
+    fam = make_coordinate_family(space, [1, 1])
+    with pytest.raises(ValueError, match="imaginary"):
+        transport_family(np.array([[1.0, 0.1j], [0.0, 1.0]]), fam)
+    # a zero imaginary part is no loss, so it is accepted
+    real = ProjectionFamily([np.diag([1.0 + 0j, 0.0]), np.diag([0.0, 1.0])], space)
+    assert real.blocks.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +177,8 @@ def test_expand_reconstructs():
     for _ in range(20):
         x = rng.standard_normal(6)
         res = expand(x, fam)
-        np.testing.assert_allclose(sum(res.components), x, atol=1e-12)
+        assert res.components.shape == (3, 6)
+        np.testing.assert_allclose(res.components.sum(axis=0), x, atol=1e-12)
         assert res.defect <= 1e-12
 
 
@@ -255,6 +297,9 @@ def test_complex_family_transport():
     rng = np.random.default_rng(33)
     s = np.eye(4) + 0.1 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     moved = transport_family(s, fam)
+    assert moved.blocks.shape == (2, 4, 4)
+    assert moved.blocks.dtype == np.complex128
+    assert not moved.blocks.flags.writeable
     report = validate_family(moved)
     assert report.ok
     # conjugating a real family by a complex map keeps ranks
@@ -265,10 +310,3 @@ def test_selfadjoint_defect_zero_for_orthogonal():
     space = ModelSpace(4, NormSpec.power(2.0))
     fam = make_coordinate_family(space, [2, 2])
     assert selfadjoint_defect(fam) == 0.0
-
-
-def test_apply_matches_matmul():
-    space = ModelSpace(4, NormSpec.orlicz(OrliczFunction.scaled_exp(1.0)))
-    fam = make_coordinate_family(space, [1, 3])
-    x = np.array([1.0, -2.0, 3.0, 0.5])
-    np.testing.assert_array_equal(fam.apply(1, x), fam.blocks[1] @ x)

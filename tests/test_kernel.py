@@ -1,6 +1,5 @@
 """Tests for the shared numerical kernel: bisection, operator norms,
 inversion diagnostics, samplers."""
-import math
 
 import numpy as np
 import pytest
@@ -11,8 +10,6 @@ from schauderlab.kernel import (
     EXACT_ENUMERATION,
     SPECTRAL_EXACT,
     ConstantEstimate,
-    SpectralFactorization,
-    gamma_fn,
     invert_with_condition,
     operator_norm,
     solve_monotone,
@@ -63,31 +60,6 @@ def test_solve_monotone_bad_bracket():
 
 
 # ---------------------------------------------------------------------------
-# gamma
-
-
-def test_gamma_half_integers():
-    # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!)
-    for n in range(11):
-        expected = (
-            math.factorial(2 * n) * math.sqrt(math.pi) / (4.0**n * math.factorial(n))
-        )
-        assert gamma_fn(n + 0.5) == pytest.approx(expected, rel=1e-13)
-
-
-def test_gamma_integers():
-    for n in range(1, 12):
-        assert gamma_fn(float(n)) == pytest.approx(math.factorial(n - 1), rel=1e-13)
-
-
-def test_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        gamma_fn(0.0)
-    with pytest.raises(ValueError):
-        gamma_fn(-1.5)
-
-
-# ---------------------------------------------------------------------------
 # spectral norm and inversion
 
 
@@ -120,14 +92,6 @@ def test_invert_random_roundtrip():
         res = invert_with_condition(m)
         assert not res.singular
         np.testing.assert_allclose(m @ res.inverse, np.eye(5), atol=1e-10)
-
-
-def test_spectral_factorization_roundtrip():
-    rng = np.random.default_rng(19)
-    m = rng.standard_normal((7, 4))
-    fac = SpectralFactorization.from_matrix(m)
-    assert fac.residual <= 1e-12 * max(1.0, fac.singular_values[0])
-    assert np.all(np.diff(fac.singular_values) <= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,13 @@ def test_sigma_zero_for_identical_families():
     est = perturbation_sigma(fam, fam, L2)
     assert est.value == 0.0
     assert est.method == SPECTRAL_EXACT
+    # one block: the aggregate over n >= 1 is empty, whatever J_0 is
+    space = ModelSpace(2, L2)
+    single = ProjectionFamily([np.diag([1.0, 0.0])], space)
+    other = ProjectionFamily([np.diag([0.0, 1.0])], space)
+    for psi in (L2, NormSpec.max_norm()):
+        est = perturbation_sigma(single, other, psi)
+        assert (est.value, est.method) == (0.0, SPECTRAL_EXACT)
 
 
 def test_sigma_rotation_against_circle_grid():
