@@ -177,10 +177,7 @@ def _cmd_rademacher(args) -> None:
         vectors = [np.asarray(v, dtype=float) for v in doc["vectors"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad vectors document: {exc}") from exc
-    mean = geometry.rademacher_average(vectors, norm, power=1)
-    quad = geometry.rademacher_average(vectors, norm, power=2)
-    lo = geometry.min_max_sign_norm(vectors, norm, "min")
-    hi = geometry.min_max_sign_norm(vectors, norm, "max")
+    mean, quad, lo, hi = geometry._sign_stats(vectors, norm)
     _emit(
         args,
         "rademacher",
@@ -465,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="CSV sweep over epsilon, angle, or p")
     p.add_argument("--parameter", choices=tuple(_SWEEPS), required=True)
-    p.add_argument("--grid", required=True, help="comma list or start:stop:count")
+    p.add_argument("--grid", required=True, help="comma list or start:stop:count; write --grid=-1,2 for a leading minus")
     p.add_argument("--scenario", default=None)
     _add_common(p, fmt=False)
     p.set_defaults(handler=_cmd_sweep, format="csv")

@@ -64,6 +64,37 @@ def _stack_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return x
 
 
+def _sign_stats(
+    vectors: Sequence[np.ndarray], norm: NormSpec
+) -> tuple[float, float, ConstantEstimate, ConstantEstimate]:
+    """Mean, quadratic mean, min and max of ||sum_j eps_j x_j||, all from
+    one pass over the sign patterns.
+
+    The means run over all 2^n patterns and the extremes are exact over
+    them, with ``trials`` = 2^n.  By the symmetry eps -> -eps only the
+    2^(n-1) patterns with a last sign of +1 are evaluated; an extreme's
+    witness is the first of those reaching it.
+    """
+    x = _stack_vectors(vectors)
+    n = x.shape[0]
+    sum1 = sum2 = 0.0
+    lo, hi = (math.inf, None), (-math.inf, None)
+    for signs in _sign_chunks(n):
+        norms = rowwise_norm(signs @ x, norm)
+        sum1 += float(np.sum(norms))
+        sum2 += float(np.sum(norms**2))
+        i, k = int(np.argmin(norms)), int(np.argmax(norms))
+        if norms[i] < lo[0]:
+            lo = (float(norms[i]), signs[i].copy())
+        if norms[k] > hi[0]:
+            hi = (float(norms[k]), signs[k].copy())
+    half = 1 << (n - 1)
+    lo_est, hi_est = (
+        ConstantEstimate(value=v, method=EXACT_ENUMERATION, witness={"signs": w}, trials=1 << n) for v, w in (lo, hi)
+    )
+    return sum1 / half, math.sqrt(sum2 / half), lo_est, hi_est
+
+
 def rademacher_average(vectors: Sequence[np.ndarray], norm: NormSpec, power: int = 1) -> float:
     """Average of ||sum_j eps_j x_j|| over all sign choices, exactly.
 
@@ -73,14 +104,7 @@ def rademacher_average(vectors: Sequence[np.ndarray], norm: NormSpec, power: int
     """
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2")
-    x = _stack_vectors(vectors)
-    n = x.shape[0]
-    acc = 0.0
-    for signs in _sign_chunks(n):
-        norms = rowwise_norm(signs @ x, norm)
-        acc += float(np.sum(norms**power))
-    mean = acc / (1 << (n - 1))
-    return mean if power == 1 else math.sqrt(mean)
+    return _sign_stats(vectors, norm)[power - 1]
 
 
 def min_max_sign_norm(vectors: Sequence[np.ndarray], norm: NormSpec, mode: str) -> ConstantEstimate:
@@ -92,23 +116,7 @@ def min_max_sign_norm(vectors: Sequence[np.ndarray], norm: NormSpec, mode: str) 
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
-    x = _stack_vectors(vectors)
-    n = x.shape[0]
-    best_val = math.inf if mode == "min" else -math.inf
-    best_signs: np.ndarray | None = None
-    for signs in _sign_chunks(n):
-        norms = rowwise_norm(signs @ x, norm)
-        i = int(np.argmin(norms) if mode == "min" else np.argmax(norms))
-        v = float(norms[i])
-        if (mode == "min" and v < best_val) or (mode == "max" and v > best_val):
-            best_val = v
-            best_signs = signs[i].copy()
-    return ConstantEstimate(
-        value=best_val,
-        method=EXACT_ENUMERATION,
-        witness={"signs": best_signs},
-        trials=1 << n,
-    )
+    return _sign_stats(vectors, norm)[2 if mode == "min" else 3]
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +571,10 @@ def or_type_probe(
         agg = luxemburg_norm(phi, profile)
         if agg <= 0:
             raise ValueError(f"set {idx} has a vanishing norm aggregate")
-        quad = rademacher_average(vectors, norm, power=2) / agg
-        mn = min_max_sign_norm(vectors, norm, "min").value / agg
-        mx = min_max_sign_norm(vectors, norm, "max").value / agg
+        _, quad, lo, hi = _sign_stats(vectors, norm)
+        quad /= agg
+        mn = lo.value / agg
+        mx = hi.value / agg
         if quad > q_max.ratio:
             q_max = ProbeLine(quad, idx)
         if quad < q_min.ratio:

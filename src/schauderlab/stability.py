@@ -32,7 +32,6 @@ from .kernel import (
 )
 from .orlicz import NormSpec, block_psi_norm, rowwise_norm, vector_norm
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _RANK_TOL = 1e-10
 RESIDUAL_TOLERANCE = 1e-8
 MARGINAL_BAND = 1e-6
@@ -42,32 +41,87 @@ MARGINAL_BAND = 1e-6
 # Distance to a subspace in an arbitrary ambient norm
 
 
-def _line_min(f, t0: float, step: float, tol: float = 1e-10) -> float:
-    """Minimiser of a convex one-variable function near t0."""
-    a, m, c = t0 - step, t0, t0 + step
-    fa, fm, fc = f(a), f(m), f(c)
-    guard = 0
-    while fa < fm and guard < 120:
-        a, m, c, fm, fc = a - 2.0 * (m - a), a, m, fa, fm
-        fa = f(a)
-        guard += 1
-    while fc < fm and guard < 120:
-        a, m, c, fa, fm = m, c, c + 2.0 * (c - m), fm, fc
-        fc = f(c)
-        guard += 1
-    x1 = c - _GOLDEN * (c - a)
-    x2 = a + _GOLDEN * (c - a)
-    f1, f2 = f(x1), f(x2)
-    while c - a > tol * (1.0 + abs(a) + abs(c)):
-        if f1 <= f2:
-            c, x2, f2 = x2, x1, f1
-            x1 = c - _GOLDEN * (c - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (c - a)
-            f2 = f(x2)
-    return 0.5 * (a + c)
+# probe grids of the line search: geometric around 0 to bracket the
+# minimum, then the 15 inner points of a 16-interval split of the bracket
+_BRACKET_GRID = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
+_SHRINK_GRID = np.arange(1.0, 16.0) / 16.0
+
+
+def _span_rows(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row i is q @ coeffs[i], summed column by column: a matmul's
+    rounding may depend on how many rows there are."""
+    out = np.zeros((coeffs.shape[0], q.shape[0]), dtype=np.result_type(coeffs, q))
+    for j in range(q.shape[1]):
+        out = out + coeffs[:, j, None] * q[:, j]
+    return out
+
+
+def _line_search(r: np.ndarray, c: np.ndarray, step: np.ndarray, norm: NormSpec, tol: float) -> np.ndarray:
+    """Minimiser of the convex t -> ||r_i - t c|| for every row r_i.
+
+    The probes step_i * _BRACKET_GRID bracket the minimum between the
+    neighbours of the best one, the grid growing 16-fold while that is an
+    end.  Each round then probes the bracket [a, b] at _SHRINK_GRID and
+    keeps the neighbours of the best probe, until b - a <= tol * (1 + |a|
+    + |b|); the best probe is returned.  A round is one rowwise_norm call.
+    """
+
+    def probe(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        trial = rows[:, None, :] - t[:, :, None] * c
+        return rowwise_norm(trial.reshape(-1, c.size), norm).reshape(t.shape)
+
+    t = step[:, None] * _BRACKET_GRID
+    f = probe(r, t)
+    end = _BRACKET_GRID.size - 1
+    while True:
+        k = f.argmin(axis=1)
+        # by convexity the minimum lies beyond the grid only where an end
+        # probe is strictly below its neighbour
+        grow = np.flatnonzero(((k == 0) & (f[:, 0] < f[:, 1])) | ((k == end) & (f[:, end] < f[:, end - 1])))
+        if not grow.size:
+            break
+        t[grow] *= 16.0
+        f[grow] = probe(r[grow], t[grow])
+    rows = np.arange(r.shape[0])
+    best, a, b = t[rows, k], t[rows, np.maximum(k - 1, 0)], t[rows, np.minimum(k + 1, end)]
+    live = rows
+    while True:
+        live = live[b[live] - a[live] > tol * (1.0 + np.abs(a[live]) + np.abs(b[live]))]
+        if not live.size:
+            return best
+        t = np.hstack([a[live, None], a[live, None] + (b - a)[live, None] * _SHRINK_GRID, b[live, None]])
+        k = probe(r[live], t[:, 1:-1]).argmin(axis=1) + 1
+        rows = np.arange(live.size)
+        best[live], a[live], b[live] = t[rows, k], t[rows, k - 1], t[rows, k + 1]
+
+
+def _nearest_rows(
+    x: np.ndarray, basis: np.ndarray, norm: NormSpec, tol: float = 1e-10, max_sweeps: int = 60
+) -> tuple[list[float], np.ndarray]:
+    """nearest_in_span of every row of x: the distances and the nearest points.
+
+    Each row stops on its own and every step is elementwise or rowwise,
+    so a row's result does not depend on the other rows.
+    """
+    q = np.asarray(basis)
+    x = np.asarray(x)
+    d = _span_rows(x, q.conj().T)  # the euclidean warm start q^H x
+    parts = (1.0, 1.0j) if np.iscomplexobj(d) else (1.0,)
+    live = np.arange(x.shape[0])
+    for _ in range(max_sweeps):
+        moved = np.zeros(live.size)
+        for j in range(d.shape[1]):
+            for unit in parts:
+                resid = x[live] - _span_rows(d[live], q)
+                step = np.maximum(0.25, 0.25 * np.abs(d[live, j]))
+                t = _line_search(resid, unit * q[:, j], step, norm, tol)
+                d[live, j] += unit * t
+                moved = np.maximum(moved, np.abs(t))
+        live = live[moved > tol * (1.0 + np.abs(d[live]).max(axis=1, initial=0.0))]
+        if not live.size:
+            break
+    nearest = _span_rows(d, q)
+    return [vector_norm(xi - ni, norm) for xi, ni in zip(x, nearest)], nearest
 
 
 def nearest_in_span(
@@ -75,39 +129,20 @@ def nearest_in_span(
 ) -> tuple[float, np.ndarray]:
     """Distance from x to the column span of ``basis`` in ``norm``.
 
-    Convex minimisation over the coefficients by coordinate descent with
-    an exact line search per coordinate; the euclidean projection is the
-    warm start.  Returns the distance and the nearest point.
+    Coordinate descent over the coefficients from the euclidean warm
+    start, each coordinate (in complex data its real and imaginary parts
+    in turn) with a line search from the step max(0.25, 0.25 |d_j|): a
+    geometric probe grid brackets the minimum, and 17-point grids shrink
+    the bracket [a, b] 8-fold per round until b - a <= tol * (1 + |a| +
+    |b|).  Sweeps repeat, at most ``max_sweeps`` times, until no
+    coordinate moves by more than tol * (1 + max |d_j|).  Returns the
+    distance, as vector_norm(x - nearest), and the nearest point.
+
+    A one-row call into the batch solver behind openings and reduced
+    moduli; each row of a batch gets exactly the result it gets here.
     """
-    q = np.asarray(basis)
-    d = q.conj().T @ x
-    complex_coeffs = np.iscomplexobj(q) or np.iscomplexobj(x)
-    if complex_coeffs:
-        d = d.astype(complex)
-
-    def resid(coeffs: np.ndarray) -> float:
-        return vector_norm(x - q @ coeffs, norm)
-
-    parts = (1.0, 1.0j) if complex_coeffs else (1.0,)
-    for _ in range(max_sweeps):
-        moved = 0.0
-        for j in range(d.size):
-            for unit in parts:
-                base = d.copy()
-
-                def f(t: float) -> float:
-                    trial = base.copy()
-                    trial[j] = base[j] + unit * t
-                    return resid(trial)
-
-                t_best = _line_min(f, 0.0, max(0.25, 0.25 * abs(d[j])), tol=tol)
-                if t_best != 0.0:
-                    d[j] = d[j] + unit * t_best
-                    moved = max(moved, abs(t_best))
-        if moved <= tol * (1.0 + float(np.abs(d).max(initial=0.0))):
-            break
-    nearest = q @ d
-    return resid(d), nearest
+    dist, nearest = _nearest_rows(np.asarray(x)[None, :], basis, norm, tol, max_sweeps)
+    return dist[0], nearest[0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +178,12 @@ def _directional_gap_sampled(
     starts = [qa[:, j] for j in range(r)]
     for _ in range(samples):
         starts.append(qa @ rng.standard_normal(r))
-    for raw in starts:
-        nrm = vector_norm(raw, norm)
-        if nrm <= 0:
-            continue
-        x = raw / nrm
-        dist, nearest = nearest_in_span(x, qb, norm)
+    units = [raw / nrm for raw in starts if (nrm := vector_norm(raw, norm)) > 0]
+    dists, nearest = _nearest_rows(np.array(units), qb, norm)
+    for x, dist, point in zip(units, dists, nearest):
         if dist > best:
             best = dist
-            best_witness = {"x": x, "nearest": nearest}
+            best_witness = {"x": x, "nearest": point}
     return best, best_witness
 
 
@@ -498,20 +530,23 @@ def reduced_minimum_modulus(
     best = math.inf
     best_x = None
     tried = 0
-    for _ in range(20 * samples):
-        if tried >= samples:
-            break
-        x = next(sampler)
+    drawn = 0
+    # draw only as many as are still needed, so the stream is consumed
+    # exactly as one draw at a time would consume it
+    while tried < samples and drawn < 20 * samples:
+        batch = [next(sampler) for _ in range(min(samples - tried, 20 * samples - drawn))]
+        drawn += len(batch)
         if kernel.shape[1] > 0:
-            dist, _ = nearest_in_span(x, kernel, norm)
+            dists, _ = _nearest_rows(np.array(batch), kernel, norm)
         else:
-            dist = 1.0
-        if dist <= 1e-8:
-            continue
-        tried += 1
-        val = vector_norm(t @ x, norm) / dist
-        if val < best:
-            best, best_x = val, x
+            dists = [1.0] * len(batch)
+        for x, dist in zip(batch, dists):
+            if dist <= 1e-8:
+                continue
+            tried += 1
+            val = vector_norm(t @ x, norm) / dist
+            if val < best:
+                best, best_x = val, x
     if best_x is None:
         raise ConvergenceError("no sample stayed clear of the kernel")
     return ConstantEstimate(value=best, method=SAMPLED_UPPER_BOUND, witness=best_x, trials=tried)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from schauderlab import geometry
 from schauderlab.decomposition import ModelSpace, ProjectionFamily, make_coordinate_family, transport_family
 from schauderlab.errors import BudgetError
 from schauderlab.geometry import (
@@ -508,6 +509,43 @@ def test_or_type_probe_flags_candidate():
     sets = [[np.array([1.0, 0.0]), np.array([0.0, 1.0])]]
     rep = or_type_probe(sets, OrliczFunction.power(2.0), L2, candidate_upper=0.5)
     assert rep.candidate_violations == (0,)
+
+
+def test_sign_extremes_keep_the_first_witness_across_chunks():
+    # 15 small integer vectors: 2^14 patterns in two chunks and exact
+    # sums; the 14th vector is zero, so the sign that tells the chunks
+    # apart changes no norm, and each witness must be the first pattern,
+    # in enumeration order, that reaches the extreme
+    rng = np.random.default_rng(6)
+    vectors = list(rng.integers(-2, 3, size=(15, 3)).astype(float))
+    vectors[13] = np.zeros(3)
+    l1 = NormSpec.power(1.0)
+    idx = np.arange(1 << 14) | (1 << 14)
+    patterns = ((idx[:, None] >> np.arange(15)) & 1) * 2.0 - 1.0
+    norms = np.abs(patterns @ np.array(vectors)).sum(axis=1)
+    for mode, first in (("min", np.argmin(norms)), ("max", np.argmax(norms))):
+        assert np.count_nonzero(norms == norms[first]) > 1
+        est = min_max_sign_norm(vectors, l1, mode)
+        assert est.value == norms[first]
+        assert np.array_equal(est.witness["signs"], patterns[first])
+
+
+def test_or_type_probe_enumerates_each_set_once(monkeypatch):
+    # the quadratic mean and both sign extremes come from one pass over
+    # the 2^(n-1) patterns with a last sign of +1
+    rows = []
+    original = geometry.rowwise_norm
+
+    def counting(m, spec):
+        rows.append(len(m))
+        return original(m, spec)
+
+    monkeypatch.setattr(geometry, "rowwise_norm", counting)
+    rng = np.random.default_rng(4)
+    sets = [[rng.standard_normal(5) for _ in range(n)] for n in (3, 6, 9)]
+    rep = or_type_probe(sets, OrliczFunction.scaled_exp(1.0), NormSpec.power(3.0))
+    assert rep.sets_tested == 3
+    assert sum(rows) == 2**2 + 2**5 + 2**8
 
 
 def test_or_type_probe_rejects_zero_set():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from schauderlab import stability
 from schauderlab.decomposition import (
     ModelSpace,
     ProjectionFamily,
@@ -12,9 +13,12 @@ from schauderlab.decomposition import (
     make_coordinate_family,
     transport_family,
 )
+from schauderlab.errors import ConvergenceError
 from schauderlab.kernel import SAMPLED_LOWER_BOUND, SAMPLED_UPPER_BOUND, SPECTRAL_EXACT
 from schauderlab.orlicz import NormSpec, OrliczFunction, vector_norm
 from schauderlab.stability import (
+    _line_search,
+    _nearest_rows,
     build_similarity,
     c0_stability_check,
     check_opening_condition,
@@ -83,6 +87,194 @@ def test_nearest_point_lies_in_span():
     _, point = nearest_in_span(x, basis, NormSpec.max_norm())
     coef, *_ = np.linalg.lstsq(basis, point, rcond=None)
     np.testing.assert_allclose(basis @ coef, point, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the batched distance solver against a plain scalar reference
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+DISTANCE_NORMS = {
+    "l1": L1,
+    "l1.5": NormSpec.power(1.5),
+    "l3": NormSpec.power(3.0),
+    "linf": NormSpec.max_norm(),
+    "exp:1": NormSpec.orlicz(OrliczFunction.scaled_exp(1.0)),
+    "pwl": NormSpec.orlicz(OrliczFunction.piecewise_linear([(0.0, 0.0), (0.5, 0.2), (1.0, 1.0), (2.0, 4.0)])),
+}
+
+
+def reference_line_min(f, step, tol):
+    """Minimiser near 0 of a convex f: expand a bracket, then golden sections."""
+    a, m, c = -step, 0.0, step
+    fa, fm, fc = f(a), f(m), f(c)
+    guard = 0
+    while fa < fm and guard < 120:
+        a, m, c, fm, fc = a - 2.0 * (m - a), a, m, fa, fm
+        fa = f(a)
+        guard += 1
+    while fc < fm and guard < 120:
+        a, m, c, fa, fm = m, c, c + 2.0 * (c - m), fm, fc
+        fc = f(c)
+        guard += 1
+    x1 = c - _GOLDEN * (c - a)
+    x2 = a + _GOLDEN * (c - a)
+    f1, f2 = f(x1), f(x2)
+    while c - a > tol * (1.0 + abs(a) + abs(c)):
+        if f1 <= f2:
+            c, x2, f2 = x2, x1, f1
+            x1 = c - _GOLDEN * (c - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (c - a)
+            f2 = f(x2)
+    return 0.5 * (a + c)
+
+
+def reference_nearest(x, q, norm, tol=1e-10, max_sweeps=60):
+    """Plain coordinate descent with one scalar norm per probe: the same
+    warm start, steps and stopping rules as nearest_in_span."""
+    d = q.conj().T @ x
+    complex_coeffs = np.iscomplexobj(q) or np.iscomplexobj(x)
+    if complex_coeffs:
+        d = d.astype(complex)
+    for _ in range(max_sweeps):
+        moved = 0.0
+        for j in range(d.size):
+            for unit in (1.0, 1.0j) if complex_coeffs else (1.0,):
+                base = d.copy()
+
+                def f(t):
+                    trial = base.copy()
+                    trial[j] += unit * t
+                    return vector_norm(x - q @ trial, norm)
+
+                t = reference_line_min(f, max(0.25, 0.25 * abs(d[j])), tol)
+                d[j] += unit * t
+                moved = max(moved, abs(t))
+        if moved <= tol * (1.0 + float(np.abs(d).max(initial=0.0))):
+            break
+    return vector_norm(x - q @ d, norm)
+
+
+def distance_case(rng, n, r, complex_data):
+    a = rng.standard_normal((n, r))
+    x = rng.standard_normal(n)
+    if complex_data:
+        a = a + 1j * rng.standard_normal((n, r))
+        x = x + 1j * rng.standard_normal(n)
+    return x, np.linalg.qr(a)[0]
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("name", sorted(DISTANCE_NORMS))
+def test_nearest_matches_reference_descent(name, complex_data):
+    # a sweep in an Orlicz norm costs the scalar reference up to a second
+    # on complex data, and some descents take dozens; both sides stop
+    # after the same number of sweeps, so their paths stay comparable
+    sweeps = 3 if complex_data else 6
+    norm = DISTANCE_NORMS[name]
+    rng = np.random.default_rng(sorted(DISTANCE_NORMS).index(name) + 10 * complex_data)
+    for n in (8, 12, 16):
+        for r in (1, 2, 3):
+            x, q = distance_case(rng, n, r, complex_data)
+            got, point = nearest_in_span(x, q, norm, max_sweeps=sweeps)
+            want = reference_nearest(x, q, norm, max_sweeps=sweeps)
+            assert abs(got - want) <= 1e-6 * want, (n, r, got, want)
+            assert got == vector_norm(x - point, norm)
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("name", sorted(DISTANCE_NORMS))
+def test_nearest_rows_are_batch_invariant(name, complex_data):
+    norm = DISTANCE_NORMS[name]
+    rng = np.random.default_rng(7)
+    _, q = distance_case(rng, 8, 2, complex_data)
+    rows = np.array([distance_case(rng, 8, 1, complex_data)[0] for _ in range(5)])
+    sweeps = 3 if complex_data else 6
+    dists, points = _nearest_rows(rows, q, norm, 1e-10, sweeps)
+    for x, dist, point in zip(rows, dists, points):
+        alone, alone_point = nearest_in_span(x, q, norm, max_sweeps=sweeps)
+        assert dist == alone
+        assert np.array_equal(point, alone_point)
+
+
+@pytest.mark.parametrize("name", sorted(DISTANCE_NORMS))
+def test_line_search_cost_is_a_few_batched_rounds(name, monkeypatch):
+    # from a unit bracket at tol 1e-10: one bracketing round and twelve
+    # 8-fold shrinks, each one rowwise_norm call for every row and probe;
+    # golden sections would make about 52 scalar norm calls per row
+    norm = DISTANCE_NORMS[name]
+    rng = np.random.default_rng(3)
+    target = rng.uniform(-0.9, 0.9, 6)
+    r = rng.standard_normal((6, 10))
+    r[:, 0] = target  # a monotone norm of r - t e_0 is least at t = r_0
+    e0 = np.zeros(10)
+    e0[0] = 1.0
+    calls = []
+    original = stability.rowwise_norm
+
+    def counting(rows, spec):
+        calls.append(len(rows))
+        return original(rows, spec)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the line search made a per-probe vector_norm call")
+
+    monkeypatch.setattr(stability, "rowwise_norm", counting)
+    monkeypatch.setattr(stability, "vector_norm", refuse)
+    t = _line_search(r, e0, np.ones(6), norm, 1e-10)
+    assert len(calls) <= 14, calls
+    got = original(r - t[:, None] * e0, norm)
+    # the bracket ends within about 1e-10 of the minimiser, and |f'| <= ||e_0|| = 1
+    assert np.all(got <= original(r - target[:, None] * e0, norm) + 1e-9)
+
+
+def test_line_search_grows_the_bracket_to_a_far_minimum():
+    r = np.array([[300.0, 1.0], [-0.01, 2.0], [-5000.0, 0.0]])
+    e0 = np.array([1.0, 0.0])
+    t = _line_search(r, e0, np.full(3, 0.25), L1, 1e-10)
+    np.testing.assert_allclose(t, r[:, 0], rtol=1e-9)
+
+
+def scripted_sampler(stream, drawn):
+    def sampler(norm, dim, seed):
+        for v in stream:
+            drawn.append(v)
+            yield v
+
+    return sampler
+
+
+def test_gamma_draws_only_the_samples_it_needs(monkeypatch):
+    # T kills the last two coordinates; draws inside that kernel are
+    # skipped, and the stream is read up to the third kept draw and no
+    # further, as one draw at a time reads it: batches of 3, 1 and 1
+    norm = NormSpec.power(3.0)
+    t = np.diag([1.0, 2.0, 0.0, 0.0])
+    rng = np.random.default_rng(2)
+    kept = [v / vector_norm(v, norm) for v in rng.standard_normal((6, 4))]
+    in_kernel = [np.array([0.0, 0.0, 0.6, -0.8]), np.array([0.0, 0.0, 1.0, 0.0])]
+    stream = [in_kernel[0], kept[0], kept[1], in_kernel[1], kept[2], kept[3], kept[4], kept[5], in_kernel[0]]
+    drawn = []
+    monkeypatch.setattr(stability, "unit_sphere_sampler", scripted_sampler(stream, drawn))
+    est = reduced_minimum_modulus(t, norm, samples=3, seed=0)
+    assert len(drawn) == 5
+    assert est.trials == 3
+    ratios = [vector_norm(t @ v, norm) / nearest_in_span(v, np.eye(4)[:, 2:], norm)[0] for v in kept[:3]]
+    assert est.value == min(ratios)
+    assert any(est.witness is v for v in kept[:3])
+
+
+def test_gamma_gives_up_after_twenty_draws_per_sample(monkeypatch):
+    t = np.diag([1.0, 0.0])
+    drawn = []
+    stream = [np.array([0.0, 1.0])] * 100
+    monkeypatch.setattr(stability, "unit_sphere_sampler", scripted_sampler(stream, drawn))
+    with pytest.raises(ConvergenceError):
+        reduced_minimum_modulus(t, NormSpec.power(3.0), samples=2, seed=0)
+    assert len(drawn) == 40
 
 
 # ---------------------------------------------------------------------------
