@@ -23,10 +23,11 @@ from .kernel import (
     SAMPLED_UPPER_BOUND,
     SPECTRAL_EXACT,
     ConstantEstimate,
+    _span_rows,
     solve_monotone,
     unit_sphere_sampler,
 )
-from .orlicz import NormSpec, OrliczFunction, block_psi_norm, luxemburg_norm, rowwise_norm, vector_norm
+from .orlicz import NormSpec, OrliczFunction, luxemburg_norm, rowwise_norm, vector_norm
 
 SIGN_BUDGET = 24
 COEFFICIENT_BUDGET = 20
@@ -216,6 +217,11 @@ def unconditional_constant(
 # Frame-style constants in the euclidean ambient
 
 
+def _gram_eigh(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of sum_k B_k^* B_k, the products summed in stack order."""
+    return np.linalg.eigh((np.swapaxes(blocks.conj(), 1, 2) @ blocks).sum(axis=0))
+
+
 def riesz_constant(family: ProjectionFamily) -> ConstantEstimate:
     """Smallest C with (1/C)||x||^2 <= sum ||P_n x||^2 <= C ||x||^2.
 
@@ -224,9 +230,7 @@ def riesz_constant(family: ProjectionFamily) -> ConstantEstimate:
     """
     if family.space.norm.power_exponent() != 2.0:
         raise ValueError("riesz_constant requires the euclidean ambient norm")
-    b = family.blocks
-    g = (np.swapaxes(b.conj(), 1, 2) @ b).sum(axis=0)  # sum_k B_k^* B_k
-    vals, vecs = np.linalg.eigh(g)
+    vals, vecs = _gram_eigh(family.blocks)
     lo = float(vals[0])
     hi = float(vals[-1])
     if lo <= 0:
@@ -236,12 +240,23 @@ def riesz_constant(family: ProjectionFamily) -> ConstantEstimate:
     return ConstantEstimate(value=value, method=SPECTRAL_EXACT, witness=witness, trials=0)
 
 
-def _profile_ratio(family: ProjectionFamily, psi: NormSpec, x: np.ndarray) -> float:
+def _block_profiles(blocks: np.ndarray, x: np.ndarray, norm: NormSpec) -> np.ndarray:
+    """Row i holds ||B_k x_i|| for every block k, from one rowwise_norm call.
+
+    The block images are summed column by column (kernel._span_rows), so
+    row i does not depend on the other rows of x.
+    """
+    k, n, _ = blocks.shape
+    images = _span_rows(x, blocks.reshape(k * n, n)).reshape(-1, n)
+    return rowwise_norm(images, norm).reshape(-1, k)
+
+
+def _profile_ratio(family: ProjectionFamily, psi: NormSpec, x: np.ndarray) -> np.ndarray:
+    """||x_i|| / psi-aggregate of the block norms, for every row x_i; inf
+    where the aggregate is 0."""
     norm = family.space.norm
-    agg = block_psi_norm(rowwise_norm(family.blocks @ x, norm), psi)
-    if agg == 0.0:
-        return math.inf
-    return vector_norm(x, norm) / agg
+    agg = rowwise_norm(_block_profiles(family.blocks, x, norm), psi)
+    return np.divide(rowwise_norm(x, norm), agg, out=np.full(agg.shape, math.inf), where=agg != 0.0)
 
 
 def _coordinate_refine(
@@ -254,42 +269,59 @@ def _coordinate_refine(
     min_step: float = 1e-9,
     max_rounds: int = 200,
 ) -> tuple[np.ndarray, float]:
-    """Coordinate-wise perturbation climb on the unit sphere of ``norm``."""
-    x = x0 / vector_norm(x0, norm)
-    best = fn(x)
+    """Coordinate-wise perturbation climb on the unit sphere of ``norm``.
+
+    ``fn`` maps a stack of vectors to one value per row.  A round scans
+    x + h e_i, then x - h e_i, for i = 0, 1, ..., normalised, and moves to
+    each candidate that beats the best value by more than rel_gain * |best|;
+    h halves after a round without a move.  The candidates left in the scan
+    are normalised by one rowwise_norm call (norms <= 0 are skipped) and
+    scored by one ``fn`` call; after a move only those behind it are formed
+    again, from the new point.  For an ``fn`` whose row i equals its value
+    on that row alone, this is the one-candidate-at-a-time trajectory, at
+    no more than 1 + rounds + moves ``fn`` calls.
+    """
+    x = x0 / rowwise_norm(x0[None, :], norm)[0]
+    best = fn(x[None, :])[0]
+    n = x.size
+    signs = np.tile([1.0, -1.0], n)  # scan position c moves coordinate c // 2
     h = 0.25
     rounds = 0
     while h > min_step and rounds < max_rounds:
         rounds += 1
         improved = False
-        for i in range(x.size):
-            for s in (h, -h):
-                cand = x.copy()
-                cand[i] += s
-                nrm = vector_norm(cand, norm)
-                if nrm <= 0:
-                    continue
-                cand /= nrm
-                v = fn(cand)
-                gain = (v - best) if maximize else (best - v)
-                if gain > rel_gain * max(abs(best), 1e-300):
-                    x, best, improved = cand, v, True
+        start = 0
+        while start < 2 * n:
+            scan = np.arange(start, 2 * n)
+            cand = np.tile(x, (scan.size, 1))
+            cand[np.arange(scan.size), scan // 2] += signs[scan] * h
+            nrm = rowwise_norm(cand, norm)
+            ok = np.flatnonzero(nrm > 0)
+            cand = cand[ok] / nrm[ok, None]
+            vals = fn(cand)
+            with np.errstate(invalid="ignore"):  # inf - inf never counts as a gain
+                gain = vals - best if maximize else best - vals
+            hit = np.flatnonzero(gain > rel_gain * max(abs(best), 1e-300))
+            if not hit.size:
+                break
+            x, best, improved = cand[hit[0]], vals[hit[0]], True
+            start = scan[ok[hit[0]]] + 1
         if not improved:
             h *= 0.5
-    return x, best
+    return x, float(best)
 
 
 def _sampled_extremum(
     ratio, norm: NormSpec, dim: int, samples: int, seed: int, *, maximize: bool
 ) -> tuple[float, np.ndarray]:
-    """Extreme of ``ratio`` over a seeded unit-sphere sample.
+    """Extreme of the row objective ``ratio`` over a seeded unit-sphere sample.
 
-    The three best samples are each refined by coordinate search; the
-    best value seen and its vector are returned.
+    The samples are scored by one ``ratio`` call and stably sorted; the
+    three best are each refined by coordinate search, and the best value
+    seen and its vector are returned.
     """
-    sampler = unit_sphere_sampler(norm, dim, seed)
-    scored = [(ratio(x), x) for x in itertools.islice(sampler, samples)]
-    scored.sort(key=lambda t: t[0], reverse=maximize)
+    xs = np.array(list(itertools.islice(unit_sphere_sampler(norm, dim, seed), samples)))
+    scored = sorted(zip(ratio(xs).tolist(), xs), key=lambda t: t[0], reverse=maximize)
     best_val, best_x = scored[0]
     for _, x in scored[:3]:
         xr, vr = _coordinate_refine(ratio, x, norm, maximize=maximize)
@@ -304,19 +336,15 @@ def hilbertian_constant(
     """Smallest C with ||x|| <= C * psi-aggregate of the block norms.
 
     Exact via the spectrum when both the ambient and the aggregate are
-    euclidean; otherwise a sampled lower bound polished by coordinate
-    ascent.
+    euclidean.  Otherwise a sampled lower bound polished by coordinate
+    ascent, the samples and each batch of ascent candidates scored by one
+    row-wise ratio call (see _coordinate_refine); ``trials`` is the sample
+    count and the witness a unit vector whose ratio vector_norm replays.
     """
     if family.space.norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:
-        b = family.blocks
-        g = (np.swapaxes(b.conj(), 1, 2) @ b).sum(axis=0)
-        vals, vecs = np.linalg.eigh(g)
-        lo = float(vals[0])
-        if lo <= 0:
-            return ConstantEstimate(value=math.inf, method=SPECTRAL_EXACT, witness=vecs[:, 0], trials=0)
-        return ConstantEstimate(
-            value=1.0 / math.sqrt(lo), method=SPECTRAL_EXACT, witness=vecs[:, 0], trials=0
-        )
+        vals, vecs = _gram_eigh(family.blocks)
+        value = 1.0 / math.sqrt(vals[0]) if vals[0] > 0 else math.inf
+        return ConstantEstimate(value=value, method=SPECTRAL_EXACT, witness=vecs[:, 0], trials=0)
     val, x = _sampled_extremum(
         lambda y: _profile_ratio(family, psi, y), family.space.norm, family.dim, samples, seed, maximize=True
     )
@@ -328,17 +356,14 @@ def besselian_constant(
 ) -> ConstantEstimate:
     """Largest c with c * psi-aggregate of the block norms <= ||x||.
 
-    The sampled route minimises the same ratio hilbertian_constant
-    maximises, so its tag marks an upper bound on the true constant.
+    Exact via the spectrum in the euclidean case.  Otherwise the batched
+    search of hilbertian_constant minimises the ratio it maximises, so the
+    tag marks an upper bound on the true constant.
     """
     if family.space.norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:
-        b = family.blocks
-        g = (np.swapaxes(b.conj(), 1, 2) @ b).sum(axis=0)
-        vals, vecs = np.linalg.eigh(g)
-        lo = max(float(vals[0]), 0.0)
-        return ConstantEstimate(
-            value=math.sqrt(lo), method=SPECTRAL_EXACT, witness=vecs[:, 0], trials=0
-        )
+        vals, vecs = _gram_eigh(family.blocks)
+        value = math.sqrt(max(float(vals[0]), 0.0))
+        return ConstantEstimate(value=value, method=SPECTRAL_EXACT, witness=vecs[:, 0], trials=0)
     val, x = _sampled_extremum(
         lambda y: _profile_ratio(family, psi, y), family.space.norm, family.dim, samples, seed, maximize=False
     )

@@ -18,19 +18,20 @@ import numpy as np
 
 from .decomposition import ProjectionFamily, Subspace, family_rank, range_subspace, selfadjoint_defect
 from .errors import ConvergenceError
-from .geometry import _sampled_extremum, hilbertian_constant
+from .geometry import _block_profiles, _gram_eigh, _sampled_extremum, hilbertian_constant
 from .kernel import (
     EXACT_ENUMERATION,
     SAMPLED_LOWER_BOUND,
     SAMPLED_UPPER_BOUND,
     SPECTRAL_EXACT,
     ConstantEstimate,
+    _span_rows,
     invert_with_condition,
     operator_norm,
     spectral_norm,
     unit_sphere_sampler,
 )
-from .orlicz import NormSpec, block_psi_norm, rowwise_norm, vector_norm
+from .orlicz import NormSpec, rowwise_norm, vector_norm
 
 _RANK_TOL = 1e-10
 RESIDUAL_TOLERANCE = 1e-8
@@ -45,15 +46,6 @@ MARGINAL_BAND = 1e-6
 # minimum, then the 15 inner points of a 16-interval split of the bracket
 _BRACKET_GRID = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
 _SHRINK_GRID = np.arange(1.0, 16.0) / 16.0
-
-
-def _span_rows(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row i is q @ coeffs[i], summed column by column: a matmul's
-    rounding may depend on how many rows there are."""
-    out = np.zeros((coeffs.shape[0], q.shape[0]), dtype=np.result_type(coeffs, q))
-    for j in range(q.shape[1]):
-        out = out + coeffs[:, j, None] * q[:, j]
-    return out
 
 
 def _line_search(r: np.ndarray, c: np.ndarray, step: np.ndarray, norm: NormSpec, tol: float) -> np.ndarray:
@@ -316,7 +308,8 @@ def perturbation_sigma(
 
     Exact via the spectrum of the summed products when everything is
     euclidean; otherwise a sampled lower bound polished by coordinate
-    ascent.
+    ascent, as in hilbertian_constant, with one rowwise_norm(profiles,
+    psi) call scoring each batch of samples or candidates.
     """
     if p_family.dim != j_family.dim or p_family.block_count != j_family.block_count:
         raise ValueError("families must share dimension and block count")
@@ -330,13 +323,12 @@ def perturbation_sigma(
     parts = p @ (j - p)
 
     if norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:
-        h = (np.swapaxes(parts.conj(), 1, 2) @ parts).sum(axis=0)
-        vals, vecs = np.linalg.eigh(h)
+        vals, vecs = _gram_eigh(parts)
         sigma = math.sqrt(max(float(vals[-1]), 0.0))
         return ConstantEstimate(value=sigma, method=SPECTRAL_EXACT, witness=vecs[:, -1], trials=0)
 
     best_val, best_x = _sampled_extremum(
-        lambda x: block_psi_norm(rowwise_norm(parts @ x, norm), psi), norm, n, samples, seed, maximize=True
+        lambda x: rowwise_norm(_block_profiles(parts, x, norm), psi), norm, n, samples, seed, maximize=True
     )
     return ConstantEstimate(value=best_val, method=SAMPLED_LOWER_BOUND, witness=best_x, trials=samples)
 
@@ -536,15 +528,13 @@ def reduced_minimum_modulus(
     while tried < samples and drawn < 20 * samples:
         batch = [next(sampler) for _ in range(min(samples - tried, 20 * samples - drawn))]
         drawn += len(batch)
-        if kernel.shape[1] > 0:
-            dists, _ = _nearest_rows(np.array(batch), kernel, norm)
-        else:
-            dists = [1.0] * len(batch)
-        for x, dist in zip(batch, dists):
+        xs = np.array(batch)
+        dists = _nearest_rows(xs, kernel, norm)[0] if kernel.shape[1] > 0 else [1.0] * len(batch)
+        for x, image, dist in zip(batch, rowwise_norm(xs @ t.T, norm), dists):
             if dist <= 1e-8:
                 continue
             tried += 1
-            val = vector_norm(t @ x, norm) / dist
+            val = float(image) / dist
             if val < best:
                 best, best_x = val, x
     if best_x is None:

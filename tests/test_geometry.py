@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from schauderlab import geometry
+from schauderlab import geometry, stability
 from schauderlab.decomposition import ModelSpace, ProjectionFamily, make_coordinate_family, transport_family
 from schauderlab.errors import BudgetError
 from schauderlab.geometry import (
@@ -23,7 +23,8 @@ from schauderlab.geometry import (
     unconditional_constant,
 )
 from schauderlab.kernel import SAMPLED_LOWER_BOUND, SAMPLED_UPPER_BOUND, SPECTRAL_EXACT, unit_sphere_sampler
-from schauderlab.orlicz import NormSpec, OrliczFunction, vector_norm
+from schauderlab.orlicz import NormSpec, OrliczFunction, rowwise_norm, vector_norm
+from schauderlab.stability import perturbation_sigma
 
 L2 = NormSpec.power(2.0)
 
@@ -362,6 +363,267 @@ def test_besselian_sampled_is_tagged_upper_bound():
     assert est.method == SAMPLED_UPPER_BOUND
     # in l1 with psi=max the true constant is 1 (max <= sum)
     assert est.value >= 1.0 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batched coordinate refinement and its row objectives
+
+REFINE_AMBIENTS = {
+    "l1.5": NormSpec.power(1.5),
+    "l3": NormSpec.power(3.0),
+    "max": NormSpec.max_norm(),
+    "exp:1": BRUTE_NORMS["exp"],
+    "pwl": BRUTE_NORMS["pwl"],
+}
+REFINE_PSIS = {"l2": L2, "l3": NormSpec.power(3.0), "max": NormSpec.max_norm(), "exp:1": BRUTE_NORMS["exp"]}
+
+
+def sequential_refine(fn, x0, norm, *, maximize, rel_gain=1e-8, min_step=1e-9, max_rounds=200):
+    """The climb that _coordinate_refine batches, one candidate at a time:
+    every norm and objective value comes from a one-row call.  Also
+    returns the rounds, the moves, and the moves made by the last
+    candidate of a round (after those no batch is left to score)."""
+
+    def one(f, v):
+        return f(v[None, :])[0]
+
+    x = x0 / one(lambda v: rowwise_norm(v, norm), x0)
+    best = one(fn, x)
+    h = 0.25
+    rounds = moves = last_moves = 0
+    while h > min_step and rounds < max_rounds:
+        rounds += 1
+        improved = False
+        for i in range(x.size):
+            for s in (h, -h):
+                cand = x.copy()
+                cand[i] += s
+                nrm = one(lambda v: rowwise_norm(v, norm), cand)
+                if nrm <= 0:
+                    continue
+                cand /= nrm
+                v = one(fn, cand)
+                gain = (v - best) if maximize else (best - v)
+                if gain > rel_gain * max(abs(best), 1e-300):
+                    x, best, improved = cand, v, True
+                    moves += 1
+                    last_moves += i == x.size - 1 and s < 0
+        if not improved:
+            h *= 0.5
+    return x, best, rounds, moves, last_moves
+
+
+def sigma_objective(p_family, j_family, psi):
+    """The row objective perturbation_sigma hands to _sampled_extremum."""
+    captured = []
+
+    def capture(ratio, norm, dim, samples, seed, *, maximize):
+        captured.append(ratio)
+        return 0.0, np.zeros(dim)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_sampled_extremum", capture)
+        perturbation_sigma(p_family, j_family, psi, samples=1)
+    return captured[0]
+
+
+def check_refine_matches_sequential(fn, x0, norm, maximize, **kw):
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return fn(rows)
+
+    x, best = geometry._coordinate_refine(counting, x0, norm, maximize=maximize, **kw)
+    rx, rbest, rounds, moves, last_moves = sequential_refine(fn, x0, norm, maximize=maximize, **kw)
+    assert np.array_equal(x, rx) and best == rbest
+    # one call to start, one per round, one after each move that leaves candidates
+    assert len(calls) == 1 + rounds + moves - last_moves <= 1 + rounds + moves
+    return moves
+
+
+@pytest.mark.parametrize("maximize", [True, False], ids=["max", "min"])
+@pytest.mark.parametrize("ambient", sorted(REFINE_AMBIENTS))
+def test_batched_refine_follows_the_sequential_trajectory(ambient, maximize):
+    # bit for bit the same point and value, after the same moves; the
+    # rounds are capped because the one-row reference is slow in Orlicz norms
+    norm = REFINE_AMBIENTS[ambient]
+    fam = transported(3, "real", norm, seed=len(ambient))
+    for i, (name, psi) in enumerate(sorted(REFINE_PSIS.items())):
+        x0 = next(unit_sphere_sampler(norm, fam.dim, seed=i))
+        moves = check_refine_matches_sequential(
+            lambda rows: geometry._profile_ratio(fam, psi, rows), x0, norm, maximize, max_rounds=24
+        )
+        assert moves > 0, name
+
+
+@pytest.mark.parametrize("ambient", ["l3", "exp:1", "pwl"])
+def test_batched_refine_follows_the_sequential_trajectory_for_sigma(ambient):
+    norm = REFINE_AMBIENTS[ambient]
+    p_family = make_coordinate_family(ModelSpace(6, norm), [2, 2, 2])
+    fn = sigma_objective(p_family, transported(3, "real", norm, seed=4), REFINE_PSIS["l3"])
+    x0 = next(unit_sphere_sampler(norm, 6, seed=3))
+    assert check_refine_matches_sequential(fn, x0, norm, True, max_rounds=24) > 0
+
+
+@pytest.mark.parametrize("scalars", ["real", "complex"])
+@pytest.mark.parametrize("ambient", sorted(REFINE_AMBIENTS))
+def test_row_objectives_are_batch_invariant(ambient, scalars):
+    # row i of a batch equals the one-row call bit for bit, and a zero
+    # row, whose aggregate vanishes, has ratio inf
+    norm = REFINE_AMBIENTS[ambient]
+    fam = transported(4, scalars, norm, seed=2)
+    p_family = make_coordinate_family(ModelSpace(8, norm, scalars=scalars), [2] * 4)
+    rng = np.random.default_rng(8)
+    rows = np.vstack([rng.standard_normal((40, 8)) * rng.uniform(1e-3, 1e3, (40, 1)), np.zeros((1, 8))])
+    for name, psi in REFINE_PSIS.items():
+        for fn in (lambda m: geometry._profile_ratio(fam, psi, m), sigma_objective(p_family, fam, psi)):
+            batch = fn(rows)
+            assert batch.shape == (41,)
+            for i in range(rows.shape[0]):
+                assert batch[i] == fn(rows[i : i + 1])[0], (name, i)
+        assert geometry._profile_ratio(fam, psi, rows[-1:])[0] == math.inf
+
+
+def test_never_accepting_refinement_costs_one_call_per_round(monkeypatch):
+    # a power:3 coordinate family with psi = power:3 has ratio 1 up to
+    # rounding, so no candidate gains 1e-8: each of the 3 refinements makes
+    # one call to start and one per round, and h halves from 0.25 past 1e-9
+    # in 28 rounds; the samples are scored by the first call, from as many
+    # sampler draws as there are samples
+    norm = NormSpec.power(3.0)
+    fam = make_coordinate_family(ModelSpace(12, norm), [3] * 4)
+    calls, draws = [], []
+    original, sampler = geometry._profile_ratio, geometry.unit_sphere_sampler
+
+    def counting(family, psi, rows):
+        calls.append(len(rows))
+        return original(family, psi, rows)
+
+    def counting_sampler(*args):
+        for x in sampler(*args):
+            draws.append(x)
+            yield x
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("vector_norm called while sampling or refining")
+
+    monkeypatch.setattr(geometry, "_profile_ratio", counting)
+    monkeypatch.setattr(geometry, "unit_sphere_sampler", counting_sampler)
+    monkeypatch.setattr(geometry, "vector_norm", refuse)
+    est = hilbertian_constant(fam, norm, samples=16, seed=5)
+    assert est.value == pytest.approx(1.0, rel=1e-14)
+    assert est.trials == 16 and len(draws) == 16
+    assert calls == [16] + [1, *[24] * 28] * 3
+
+
+def test_refinement_makes_no_vector_norm_call(monkeypatch):
+    from schauderlab import orlicz
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the refinement made a vector_norm call")
+
+    norm = REFINE_AMBIENTS["exp:1"]
+    fam = transported(3, "real", norm, seed=1)
+    x0 = next(unit_sphere_sampler(norm, fam.dim, seed=0))
+    for module in (geometry, orlicz):
+        monkeypatch.setattr(module, "vector_norm", refuse)
+    monkeypatch.setattr(orlicz, "luxemburg_norm", refuse)
+    x, best = geometry._coordinate_refine(lambda m: geometry._profile_ratio(fam, L2, m), x0, norm, maximize=True)
+    assert best > geometry._profile_ratio(fam, L2, x0[None, :])[0]
+
+
+def test_sampled_extremum_scores_its_samples_in_one_call():
+    norm = REFINE_AMBIENTS["pwl"]
+    fam = transported(2, "real", norm, seed=3)
+    calls = []
+
+    def ratio(rows):
+        calls.append(len(rows))
+        return geometry._profile_ratio(fam, L2, rows)
+
+    val, x = geometry._sampled_extremum(ratio, norm, fam.dim, 64, 7, maximize=False)
+    assert calls[0] == 64 and max(calls[1:]) <= 2 * fam.dim
+    xs = np.array(list(itertools.islice(unit_sphere_sampler(norm, fam.dim, 7), 64)))
+    assert val <= ratio(xs).min()
+
+
+# Values from the one-candidate-at-a-time implementation on the same inputs:
+# (function, ambient, psi, scalars, seed, value, tag, trials) on a 6-dimensional,
+# 3-block family transported by I + 0.3 G; sigma compares the coordinate family
+# with that transport.
+SAMPLED_REFERENCE = [
+    ("hilbertian", "l3", "l3", "real", 1, 1.648834046059197, SAMPLED_LOWER_BOUND, 8),
+    ("hilbertian", "exp:1", "l2", "real", 2, 1.512823552337802, SAMPLED_LOWER_BOUND, 8),
+    ("hilbertian", "pwl", "max", "real", 3, 2.0635904839013697, SAMPLED_LOWER_BOUND, 8),
+    ("hilbertian", "l1.5", "exp:1", "real", 4, 0.7780400977090234, SAMPLED_LOWER_BOUND, 8),
+    ("hilbertian", "max", "l3", "real", 5, 1.7567283170680201, SAMPLED_LOWER_BOUND, 8),
+    ("hilbertian", "l3", "l2", "complex", 6, 1.2102729324479857, SAMPLED_LOWER_BOUND, 8),
+    ("besselian", "l3", "l2", "real", 7, 0.17766615760780316, SAMPLED_UPPER_BOUND, 8),
+    ("besselian", "exp:1", "exp:1", "real", 8, 0.10263605775845444, SAMPLED_UPPER_BOUND, 8),
+    ("besselian", "max", "max", "real", 9, 0.4276089737910008, SAMPLED_UPPER_BOUND, 8),
+    ("besselian", "pwl", "l3", "real", 10, 0.5852998500086282, SAMPLED_UPPER_BOUND, 8),
+    ("sigma", "l3", "l3", "real", 11, 1.318240562388212, SAMPLED_LOWER_BOUND, 8),
+    ("sigma", "exp:1", "l2", "real", 12, 0.6525909353973118, SAMPLED_LOWER_BOUND, 8),
+    ("sigma", "pwl", "exp:1", "real", 13, 2.8806635423586933, SAMPLED_LOWER_BOUND, 8),
+    ("sigma", "l1.5", "max", "real", 14, 1.6853693288572034, SAMPLED_LOWER_BOUND, 8),
+]
+
+
+def reference_family(ambient, scalars, seed, eps=0.3):
+    norm = {**REFINE_AMBIENTS, "l2": L2}[ambient]
+    fam = make_coordinate_family(ModelSpace(6, norm, scalars=scalars), [2, 2, 2])
+    if eps == 0.0:
+        return fam
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((6, 6))
+    if scalars == "complex":
+        g = g + 1j * rng.standard_normal((6, 6))
+    return transport_family(np.eye(6) + eps * g, fam)
+
+
+@pytest.mark.parametrize("case", SAMPLED_REFERENCE, ids=lambda c: "-".join(map(str, c[:5])))
+def test_sampled_constants_match_the_sequential_values(case):
+    fn, ambient, psi_name, scalars, seed, value, tag, trials = case
+    psi = REFINE_PSIS[psi_name]
+    fam = reference_family(ambient, scalars, seed)
+    norm = fam.space.norm
+    if fn == "sigma":
+        coord = reference_family(ambient, scalars, seed, eps=0.0)
+        est = perturbation_sigma(coord, fam, psi, samples=8, seed=seed)
+        blocks = coord.blocks[1:] @ (fam.blocks[1:] - coord.blocks[1:])
+    else:
+        est = (hilbertian_constant if fn == "hilbertian" else besselian_constant)(fam, psi, samples=8, seed=seed)
+        blocks = fam.blocks
+    assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert est.method == tag and est.trials == trials
+    x = est.witness
+    assert x.shape == (6,) and vector_norm(x, norm) == pytest.approx(1.0, rel=1e-12)
+    aggregate = vector_norm(np.array([vector_norm(b @ x, norm) for b in blocks]), psi)
+    replay = aggregate if fn == "sigma" else 1.0 / aggregate
+    assert replay == pytest.approx(est.value, rel=1e-12)
+
+
+# riesz, hilbertian and besselian in l2 with psi = l2, then sigma against the
+# coordinate family: all four go through one Gram helper and stay bit for bit
+GRAM_REFERENCE = {
+    ("real", 21): (14.904378334759858, 1.4279065694098951, 0.7003259326786806, 2.019459740136489),
+    ("complex", 22): (65.1897179907317, 1.6014679699464, 0.6244270998648005, 3.0194759448795567),
+}
+
+
+@pytest.mark.parametrize("scalars,seed", sorted(GRAM_REFERENCE))
+def test_euclidean_gram_constants_are_unchanged(scalars, seed):
+    fam = reference_family("l2", scalars, seed)
+    coord = reference_family("l2", scalars, seed, eps=0.0)
+    got = (
+        riesz_constant(fam),
+        hilbertian_constant(fam, L2),
+        besselian_constant(fam, L2),
+        perturbation_sigma(coord, fam, L2),
+    )
+    assert tuple(est.value for est in got) == GRAM_REFERENCE[(scalars, seed)]
+    assert all(est.method == SPECTRAL_EXACT and est.trials == 0 for est in got)
 
 
 # ---------------------------------------------------------------------------

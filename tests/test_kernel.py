@@ -194,3 +194,34 @@ def test_operator_norm_witness_reproduces_value():
         w = est.witness
         again = vector_norm(m @ w, spec) / vector_norm(w, spec)
         assert again == pytest.approx(est.value, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [NormSpec.power(3.0), NormSpec.power(1.5), NormSpec.orlicz(OrliczFunction.scaled_exp(1.0))],
+    ids=["l3", "l1.5", "exp:1"],
+)
+def test_operator_norm_scores_its_samples_in_one_rowwise_call(spec, monkeypatch):
+    # the same sampler draws as a one-at-a-time loop, one rowwise_norm call
+    # for all of them, and the first largest draw as witness
+    from schauderlab import orlicz
+
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((6, 6))
+    sampler = unit_sphere_sampler(spec, 6, 4)
+    draws = [next(sampler) for _ in range(48)]
+    values = [vector_norm(m @ x, spec) for x in draws]
+    first = int(np.argmax(values))
+    calls = []
+    original = orlicz.rowwise_norm
+
+    def counting(rows, norm):
+        calls.append(len(rows))
+        return original(rows, norm)
+
+    monkeypatch.setattr(orlicz, "rowwise_norm", counting)
+    est = operator_norm(m, spec, samples=48, seed=4)
+    assert calls == [48]
+    assert est.method == CERTIFIED_UPPER_BOUND and est.trials == 48
+    assert est.lower_bound == pytest.approx(values[first], rel=1e-14)
+    assert np.array_equal(est.witness, draws[first])

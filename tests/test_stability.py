@@ -667,3 +667,33 @@ def test_gamma_witness_reproduces_value():
     x = est.witness
     ratio = vector_norm(t @ x, spec) / vector_norm(x, spec)
     assert ratio == pytest.approx(est.value, rel=1e-8)
+
+
+def test_gamma_takes_image_norms_in_one_rowwise_call_per_batch(monkeypatch):
+    # an invertible T has no kernel, so no distance is solved: the image
+    # norms of all samples come from one rowwise_norm call, none from
+    # vector_norm, and the minimum ratio matches a one-at-a-time loop
+    from schauderlab.kernel import unit_sphere_sampler
+
+    norm = NormSpec.orlicz(OrliczFunction.scaled_exp(1.0))
+    t = np.random.default_rng(9).standard_normal((5, 5))
+    sampler = unit_sphere_sampler(norm, 5, 2)
+    draws = [next(sampler) for _ in range(24)]
+    ratios = [vector_norm(t @ x, norm) for x in draws]
+    calls = []
+    original = stability.rowwise_norm
+
+    def counting(rows, spec):
+        calls.append(len(rows))
+        return original(rows, spec)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reduced_minimum_modulus made a vector_norm call")
+
+    monkeypatch.setattr(stability, "rowwise_norm", counting)
+    monkeypatch.setattr(stability, "vector_norm", refuse)
+    est = reduced_minimum_modulus(t, norm, samples=24, seed=2)
+    assert calls == [24]
+    assert est.trials == 24
+    assert est.value == pytest.approx(min(ratios), rel=1e-14)
+    assert np.array_equal(est.witness, draws[int(np.argmin(ratios))])
