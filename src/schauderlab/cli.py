@@ -47,9 +47,8 @@ def _fmt(v) -> str:
 
 
 def _load_doc(spec: str) -> dict:
-    text = Path(spec[1:]).read_text() if spec.startswith("@") else spec
     try:
-        return json.loads(text)
+        return json.loads(Path(spec[1:]).read_text() if spec.startswith("@") else spec)
     except (OSError, json.JSONDecodeError) as exc:
         raise DocumentError(f"cannot parse document {spec!r}: {exc}") from exc
 
@@ -111,7 +110,7 @@ def _render_text(result: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, command: str, result: dict, *, csv_rows: tuple[list[str], list[list]] | None = None) -> None:
+def _emit(args, command: str, result: object, *, csv_rows: tuple[list[str], list[list]] | None = None) -> None:
     fmt = getattr(args, "format", "text")
     if fmt == "csv":
         if csv_rows is None:
@@ -124,10 +123,11 @@ def _emit(args, command: str, result: dict, *, csv_rows: tuple[list[str], list[l
             writer.writerow(["" if v is None else (repr(v) if isinstance(v, float) else v) for v in row])
         text = buf.getvalue()
     elif fmt == "json":
+        # the raw report goes in; render_json converts it to JSON values once
         envelope = {
             "command": command,
             "generated_at": datetime.now(timezone.utc).isoformat(),
-            "result": to_jsonable(result),
+            "result": result,
         }
         text = render_json(envelope)
     else:
@@ -156,12 +156,12 @@ def _cmd_delta2(args) -> None:
         grid = [float(v) for v in _parse_vector(args.grid)]
     else:
         raise DocumentError("delta2 needs --grid or --dyadic")
-    _emit(args, "delta2", to_jsonable(delta2_margin(phi, grid)))
+    _emit(args, "delta2", delta2_margin(phi, grid))
 
 
 def _cmd_khintchine(args) -> None:
     k = geometry.khintchine_constants(args.p)
-    _emit(args, "khintchine", to_jsonable(k))
+    _emit(args, "khintchine", k)
 
 
 def _cmd_rademacher(args) -> None:
@@ -184,8 +184,8 @@ def _cmd_rademacher(args) -> None:
         {
             "mean": mean,
             "quadratic_mean": quad,
-            "min": to_jsonable(lo),
-            "max": to_jsonable(hi),
+            "min": lo,
+            "max": hi,
         },
     )
 
@@ -202,6 +202,7 @@ def _cmd_constants(args) -> None:
         estimates.append(("riesz", geometry.riesz_constant(family)))
     estimates.append(("hilbertian", geometry.hilbertian_constant(family, psi, args.samples, args.seed)))
     estimates.append(("besselian", geometry.besselian_constant(family, psi, args.samples, args.seed)))
+    refs = [_witness_ref(est.witness) for _, est in estimates]
     result = {
         "psi": norm_to_doc(psi),
         "constants": [
@@ -210,14 +211,14 @@ def _cmd_constants(args) -> None:
                 "value": est.value,
                 "method": est.method,
                 "trials": est.trials,
-                "witness": to_jsonable(est.witness),
-                "witness_ref": _witness_ref(est.witness),
+                "witness": est.witness,
+                "witness_ref": ref,
             }
-            for name, est in estimates
+            for (name, est), ref in zip(estimates, refs)
         ],
     }
     header = ["constant", "value", "method", "trials", "witness_ref"]
-    rows = [[name, est.value, est.method, est.trials, _witness_ref(est.witness)] for name, est in estimates]
+    rows = [[name, est.value, est.method, est.trials, ref] for (name, est), ref in zip(estimates, refs)]
     _emit(args, "constants", result, csv_rows=(header, rows))
 
 
@@ -241,7 +242,7 @@ def _cmd_type_cotype(args) -> None:
             "lower_constant": lower,
             "phi": norm_to_doc(phi),
             "upper_constant": upper,
-            "report": to_jsonable(report),
+            "report": report,
         },
     )
 
@@ -263,23 +264,23 @@ def _cmd_opening(args) -> None:
     else:
         raise DocumentError("opening needs --pair or --angle")
     report = stability.opening(a, b, norm, samples=args.samples, seed=args.seed)
-    _emit(args, "opening", to_jsonable(report))
+    _emit(args, "opening", report)
 
 
 def _cmd_lambda(args) -> None:
     family = family_from_doc(_load_doc(args.family))
-    _emit(args, "lambda", to_jsonable(stability.lambda_threshold(family)))
+    _emit(args, "lambda", stability.lambda_threshold(family))
 
 
 def _cmd_sigma(args) -> None:
     sc = scenario_from_doc(_load_doc(args.scenario))
     est = stability.perturbation_sigma(sc.p_family, sc.j_family, sc.psi, args.samples, args.seed)
-    _emit(args, "sigma", {"psi": norm_to_doc(sc.psi), "estimate": to_jsonable(est)})
+    _emit(args, "sigma", {"psi": norm_to_doc(sc.psi), "estimate": est})
 
 
 def _cmd_kato(args) -> None:
     sc = scenario_from_doc(_load_doc(args.scenario))
-    _emit(args, "kato", to_jsonable(stability.kato_check(sc.p_family, sc.j_family)))
+    _emit(args, "kato", stability.kato_check(sc.p_family, sc.j_family))
 
 
 def _cmd_similarity(args) -> None:
@@ -287,7 +288,7 @@ def _cmd_similarity(args) -> None:
     report = stability.orlicz_stability_check(
         sc.p_family, sc.j_family, sc.psi, hilbertian=sc.sup_bound, samples=args.samples, seed=args.seed
     )
-    _emit(args, "similarity", to_jsonable(report))
+    _emit(args, "similarity", report)
 
 
 def _cmd_c0_check(args) -> None:
@@ -298,13 +299,13 @@ def _cmd_c0_check(args) -> None:
     report = stability.c0_stability_check(
         sc.p_family, sc.j_family, sup_bound, samples=args.samples, seed=args.seed
     )
-    _emit(args, "c0-check", to_jsonable(report))
+    _emit(args, "c0-check", report)
 
 
 def _cmd_validate(args) -> None:
     family = family_from_doc(_load_doc(args.family))
     report = validate_family(family, require_completeness=not args.allow_incomplete)
-    _emit(args, "validate", to_jsonable(report))
+    _emit(args, "validate", report)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,9 @@ def to_jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
+        # real arrays of finite entries need no per-entry conversion
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
         if np.iscomplexobj(obj):
             return {"real": to_jsonable(obj.real), "imag": to_jsonable(obj.imag)}
         return to_jsonable(obj.tolist())

@@ -1,8 +1,10 @@
 """Command-line interface and document round-trips."""
 import csv
+import hashlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from schauderlab.documents import (
     norm_from_doc,
     norm_to_doc,
     parse_norm_spec,
+    perturbation_transport,
     parse_phi_spec,
     phi_from_doc,
     phi_to_doc,
@@ -164,6 +167,43 @@ def test_to_jsonable_handles_special_floats():
 def test_to_jsonable_complex():
     out = to_jsonable(np.array([1.0 + 2.0j]))
     assert out == {"real": [1.0], "imag": [2.0]}
+
+
+def exact(value):
+    """Nested value with every leaf's type spelled out, so 1 == 1.0 == True differ."""
+    if isinstance(value, list):
+        return [exact(v) for v in value]
+    if isinstance(value, dict):
+        return {k: exact(v) for k, v in value.items()}
+    return (type(value), value)
+
+
+@pytest.mark.parametrize(
+    "array, expected",
+    [
+        (np.array([[1.5, -0.0], [2.0, 1e-300]]), [[1.5, -0.0], [2.0, 1e-300]]),
+        (np.array([1.25, 2.5], dtype=np.float32), [1.25, 2.5]),
+        (np.array([3, -4], dtype=np.int64), [3, -4]),
+        (np.array([7], dtype=np.uint8), [7]),
+        (np.array([True, False]), [True, False]),
+        (np.array(2.5), 2.5),
+        (np.array(3), 3),
+        (np.array(True), True),
+        (np.zeros((0, 2)), []),
+    ],
+)
+def test_to_jsonable_real_arrays(array, expected):
+    assert exact(to_jsonable(array)) == exact(expected)
+    assert exact(to_jsonable({"a": array})) == exact({"a": expected})
+
+
+def test_to_jsonable_non_finite_and_complex_arrays_keep_their_forms():
+    assert to_jsonable(np.array([1.0, np.nan, -np.inf])) == [1.0, "nan", "-inf"]
+    assert to_jsonable(np.array([[np.inf]], dtype=np.float32)) == [["inf"]]
+    assert to_jsonable(np.array(np.nan)) == "nan"
+    out = to_jsonable(np.array([[1.0 + 2.0j, np.nan - 1.0j]]))
+    assert out == {"real": [[1.0, "nan"]], "imag": [[2.0, -1.0]]}
+    assert to_jsonable(np.array(0.5j)) == {"real": 0.0, "imag": 0.5}
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +416,23 @@ def test_exit_code_2_on_bad_document(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--family"],
+        ["kato", "--scenario"],
+        ["rademacher", "--vectors"],
+        ["opening", "--pair"],
+    ],
+)
+def test_exit_code_2_on_missing_document_file(capsys, tmp_path, argv):
+    rc, out, err = run_cli(capsys, *argv, f"@{tmp_path / 'absent.json'}")
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "absent.json" in err
+    assert out == ""
+
+
 def test_exit_code_3_on_numerical_failure(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError("bracket failed")
@@ -405,3 +462,44 @@ def test_csv_floats_round_trip(capsys):
 
     val = float(rows[1][1])
     assert val == khintchine_constants(1.84742).lower
+
+
+# ---------------------------------------------------------------------------
+# output bytes
+
+# SHA-256 of each command's output on the scenario below, recorded before
+# the reports were serialised in one pass; "generated_at" is blanked.
+OUTPUT_DIGESTS = {
+    ("kato", "json"): "fb4f69d9807374cf340c3f3f9f3d5bc491ddd0cf96875c15a1dd45bb789841c1",
+    ("kato", "text"): "4faca6c603021e1c1414eefe606589b47a186e0cad631b98d9aff992efdb2642",
+    ("similarity", "json"): "d6a835ff91d23c3689cb8ae63f08adf41545c1d6a03bbda129916776815f1c8b",
+    ("similarity", "text"): "4faca6c603021e1c1414eefe606589b47a186e0cad631b98d9aff992efdb2642",
+    ("validate", "json"): "a2bd51346c1ab283889c9027b31d6067e825cb4f1e138907caca80812a74e3e9",
+    ("validate", "text"): "a7e6cc521324ee23206a7e998b547dbb5f5d4285a6b40fd8a472ac46bcecf953",
+    ("lambda", "json"): "a13febaf71bd9ea9d439eecfac9553786e8af032092bf6ef6fb253773a52862d",
+    ("lambda", "text"): "664b27c451b5f8a1ce38e0f188c3052656749f5cbeb1615413bdc67d22b7d489",
+}
+
+
+@pytest.fixture(scope="module")
+def digest_documents(tmp_path_factory):
+    # N=8, K=4 coordinate blocks, transported with epsilon 0.05 and seed 11
+    base = tmp_path_factory.mktemp("digests")
+    p = make_coordinate_family(ModelSpace(8, NormSpec.power(2.0)), [2, 2, 2, 2])
+    scenario = {
+        "P": family_to_doc(p),
+        "J": {"transport_of_P": {"epsilon": 0.05, "seed": 11}},
+        "psi": {"variant": "power", "p": 2},
+    }
+    (base / "scenario.json").write_text(render_json(scenario))
+    (base / "family.json").write_text(render_json(family_to_doc(perturbation_transport(p, 0.05, 11))))
+    return {"--scenario": f"@{base / 'scenario.json'}", "--family": f"@{base / 'family.json'}"}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(OUTPUT_DIGESTS))
+def test_output_bytes_are_unchanged(capsys, digest_documents, command, fmt):
+    flag = "--family" if command in ("validate", "lambda") else "--scenario"
+    rc, out, _ = run_cli(capsys, command, flag, digest_documents[flag], "--format", fmt)
+    assert rc == 0
+    blanked = re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', out)
+    assert hashlib.sha256(blanked.encode()).hexdigest() == OUTPUT_DIGESTS[command, fmt]

@@ -1,9 +1,14 @@
 """Tests for the shared numerical kernel: bisection, operator norms,
 inversion diagnostics, samplers."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
+from schauderlab.decomposition import ModelSpace, make_coordinate_family, selfadjoint_defect, validate_family
+from schauderlab.documents import perturbation_transport
 from schauderlab.errors import ConvergenceError
 from schauderlab.kernel import (
     CERTIFIED_UPPER_BOUND,
@@ -17,6 +22,7 @@ from schauderlab.kernel import (
     unit_sphere_sampler,
 )
 from schauderlab.orlicz import NormSpec, OrliczFunction, vector_norm
+from schauderlab.stability import build_similarity
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +74,146 @@ def test_spectral_norm_matches_numpy():
     for _ in range(20):
         m = rng.standard_normal((6, 6))
         assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
+
+
+def random_stack(rng, k, n, *, log_mag=(-16.0, 3.0), complex_=False):
+    """k members of size n x n at magnitudes 10^log_mag, each member at
+    random kept dense, made rank-1, zeroed or copied from its neighbour."""
+    m = rng.standard_normal((k, n, n))
+    if complex_:
+        m = m + 1j * rng.standard_normal((k, n, n))
+    m = m * 10.0 ** rng.uniform(*log_mag, size=(k, 1, 1))
+    for i in range(k):
+        kind = rng.integers(4)
+        if kind == 1:
+            m[i] = np.outer(m[i, :, 0], m[i, 0, :] / np.abs(m[i, 0, :]).max())
+        elif kind == 2:
+            m[i] = 0.0
+        elif kind == 3 and i > 0:
+            m[i] = m[i - 1]
+    return m
+
+
+def full_stack_norm(m):
+    return float(np.linalg.norm(m, 2, axis=(-2, -1)).max())
+
+
+def test_spectral_norm_of_stack_is_the_full_maximum_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for trial in range(400):
+        k, n = int(rng.integers(1, 10)), int(rng.integers(1, 9))
+        m = random_stack(rng, k, n, complex_=trial % 3 == 0)
+        assert spectral_norm(m) == full_stack_norm(m), trial
+        four_d = np.stack([m, m[::-1] * 0.5])
+        assert spectral_norm(four_d) == full_stack_norm(four_d), trial
+
+
+def test_spectral_norm_rank_one_ties():
+    # rank-1 members with permuted, transposed or negated factors share sigma
+    # and ||.||_F in exact arithmetic, and each computed Frobenius norm may
+    # round below a computed sigma: the margin must still factorise them all
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
+        u, v = rng.standard_normal(n), rng.standard_normal(n)
+        p, q = rng.permutation(n), rng.permutation(n)
+        m = np.stack([np.outer(u, v), np.outer(v, u), np.outer(u[p], v[q]), -np.outer(u, v[q])])
+        assert spectral_norm(m) == full_stack_norm(m)
+
+
+def test_spectral_norm_tiny_entries_do_not_underflow():
+    # squares of entries near 1e-170 underflow; the Frobenius bound must not
+    # fall below sigma there
+    rng = np.random.default_rng(13)
+    for trial in range(100):
+        m = random_stack(rng, 6, 4, log_mag=(-200.0, -150.0), complex_=trial % 2 == 0)
+        assert spectral_norm(m) == full_stack_norm(m), trial
+
+
+def test_spectral_norm_subnormal_members_take_the_full_path():
+    # sixteen entries (1+1j) * 2^-1074 form a rank-1 member with sigma
+    # 5.66 subnormal steps (rounded to 6), but each |entry| rounds to one
+    # step, so its Frobenius norm from magnitudes would be 4 steps and a
+    # member of exactly 5 steps would hide it
+    step = np.nextafter(0.0, 1.0)
+    hidden = np.full((4, 4), (1.0 + 1.0j) * step)
+    decoy = np.zeros((4, 4), dtype=complex)
+    decoy[0, 0] = 5.0 * step
+    m = np.stack([decoy, hidden])
+    assert spectral_norm(m) == full_stack_norm(m) == 6.0 * step
+
+
+def test_spectral_norm_non_finite_and_empty_stacks():
+    m = np.ones((3, 4, 4))
+    m[1, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral_norm(m)
+    m[1, 0, 0] = np.inf
+    assert math.isnan(spectral_norm(m))
+    assert math.isnan(spectral_norm(m.astype(complex)))
+    assert spectral_norm(np.zeros((0, 4, 4))) == 0.0
+    assert spectral_norm(np.zeros((3, 0, 0))) == 0.0
+
+
+def count_spectral_svds(monkeypatch) -> list[int]:
+    """Matrices factorised by ``spectral_norm``'s own calls: its per-member
+    SVDs and its full-path 2-norms (single matrices, non-finite stacks)."""
+    counts: list[int] = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def members(a) -> int:
+        return int(np.prod(np.shape(a)[:-2], dtype=int))
+
+    def counting_svd(a, *args, **kwargs):
+        if sys._getframe(1).f_code is spectral_norm.__code__:
+            counts.append(members(a))
+        return svd(a, *args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and sys._getframe(1).f_code is spectral_norm.__code__:
+            counts.append(members(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    return counts
+
+
+def benchmark_families(seed: int):
+    # the CLI benchmark's shape: N=64, K=16 coordinate blocks, transported
+    p = make_coordinate_family(ModelSpace(64, NormSpec.power(2.0)), [4] * 16)
+    return p, perturbation_transport(p, 0.02, seed)
+
+
+def test_validate_family_prunes_its_spectral_norms(monkeypatch):
+    _, j = benchmark_families(2024)
+    counts = count_spectral_svds(monkeypatch)
+    report = validate_family(j)
+    # 16 idempotency + 16 * 15 cross + 1 completeness = 257 without pruning
+    assert 1 <= sum(counts) <= 60, sum(counts)
+    assert report.ok
+
+
+def test_build_similarity_prunes_its_residual(monkeypatch):
+    counts = count_spectral_svds(monkeypatch)
+    per_seed = []
+    for seed in range(16):
+        counts.clear()
+        report = build_similarity(*benchmark_families(seed))
+        assert report.verdict == "similar"
+        per_seed.append(sum(counts))
+    # 16 residual members + 1 inversion residual = 17 each without pruning.
+    # The residual members are rounding noise with ||R||_F about 4 ||R||_2,
+    # so a single seed may need up to about 11; the bound is on the median.
+    assert min(per_seed) >= 1 and float(np.median(per_seed)) <= 6, per_seed
+
+
+def test_zero_stack_factorises_nothing(monkeypatch):
+    p, _ = benchmark_families(2024)
+    counts = count_spectral_svds(monkeypatch)
+    assert selfadjoint_defect(p) == 0.0
+    assert spectral_norm(np.zeros((5, 3, 3))) == 0.0
+    assert counts == []
 
 
 def test_invert_known_matrix():
