@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -23,6 +24,7 @@ from .decomposition import validate_family
 from .documents import (
     StabilityScenario,
     family_from_doc,
+    load_doc,
     norm_to_doc,
     parse_norm_spec,
     parse_phi_spec,
@@ -44,13 +46,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.10g}"
     return str(v)
-
-
-def _load_doc(spec: str) -> dict:
-    try:
-        return json.loads(Path(spec[1:]).read_text() if spec.startswith("@") else spec)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DocumentError(f"cannot parse document {spec!r}: {exc}") from exc
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -165,7 +160,7 @@ def _cmd_khintchine(args) -> None:
 
 
 def _cmd_rademacher(args) -> None:
-    doc = _load_doc(args.vectors)
+    doc = load_doc(args.vectors)
     norm = parse_norm_spec(args.norm) if args.norm else None
     if norm is None:
         if "norm" not in doc:
@@ -191,7 +186,7 @@ def _cmd_rademacher(args) -> None:
 
 
 def _cmd_constants(args) -> None:
-    family = family_from_doc(_load_doc(args.family))
+    family = family_from_doc(load_doc(args.family))
     psi = parse_norm_spec(args.psi)
     estimates: list[tuple[str, object]] = []
     for mode in ("zero-one", "signs", "unit-disc-grid"):
@@ -223,7 +218,7 @@ def _cmd_constants(args) -> None:
 
 
 def _cmd_type_cotype(args) -> None:
-    family = family_from_doc(_load_doc(args.family))
+    family = family_from_doc(load_doc(args.family))
     if args.lp is not None:
         consts = geometry.lp_sandwich_constants(args.lp, args.unconditional)
         psi, lower = consts.psi, consts.lower_constant
@@ -260,7 +255,7 @@ def _cmd_opening(args) -> None:
     if args.angle is not None:
         a, b, norm = _angle_pair(args.angle)
     elif args.pair is not None:
-        a, b, norm = subspace_pair_from_doc(_load_doc(args.pair))
+        a, b, norm = subspace_pair_from_doc(load_doc(args.pair))
     else:
         raise DocumentError("opening needs --pair or --angle")
     report = stability.opening(a, b, norm, samples=args.samples, seed=args.seed)
@@ -268,23 +263,23 @@ def _cmd_opening(args) -> None:
 
 
 def _cmd_lambda(args) -> None:
-    family = family_from_doc(_load_doc(args.family))
+    family = family_from_doc(load_doc(args.family))
     _emit(args, "lambda", stability.lambda_threshold(family))
 
 
 def _cmd_sigma(args) -> None:
-    sc = scenario_from_doc(_load_doc(args.scenario))
+    sc = scenario_from_doc(load_doc(args.scenario))
     est = stability.perturbation_sigma(sc.p_family, sc.j_family, sc.psi, args.samples, args.seed)
     _emit(args, "sigma", {"psi": norm_to_doc(sc.psi), "estimate": est})
 
 
 def _cmd_kato(args) -> None:
-    sc = scenario_from_doc(_load_doc(args.scenario))
+    sc = scenario_from_doc(load_doc(args.scenario))
     _emit(args, "kato", stability.kato_check(sc.p_family, sc.j_family))
 
 
 def _cmd_similarity(args) -> None:
-    sc = scenario_from_doc(_load_doc(args.scenario))
+    sc = scenario_from_doc(load_doc(args.scenario))
     report = stability.orlicz_stability_check(
         sc.p_family, sc.j_family, sc.psi, hilbertian=sc.sup_bound, samples=args.samples, seed=args.seed
     )
@@ -292,7 +287,7 @@ def _cmd_similarity(args) -> None:
 
 
 def _cmd_c0_check(args) -> None:
-    sc = scenario_from_doc(_load_doc(args.scenario))
+    sc = scenario_from_doc(load_doc(args.scenario))
     sup_bound = args.C if args.C is not None else sc.sup_bound
     if sup_bound is None:
         raise DocumentError("c0-check needs C in the scenario or --C")
@@ -303,7 +298,7 @@ def _cmd_c0_check(args) -> None:
 
 
 def _cmd_validate(args) -> None:
-    family = family_from_doc(_load_doc(args.family))
+    family = family_from_doc(load_doc(args.family))
     report = validate_family(family, require_completeness=not args.allow_incomplete)
     _emit(args, "validate", report)
 
@@ -352,7 +347,7 @@ def _cmd_sweep(args) -> None:
     if args.parameter == "epsilon":
         if not args.scenario:
             raise DocumentError("epsilon sweep needs --scenario")
-        doc = _load_doc(args.scenario)
+        doc = load_doc(args.scenario)
     rows: list[list] = []
     for value in grid:
         try:
@@ -375,7 +370,10 @@ def _add_common(sub: argparse.ArgumentParser, *, fmt: bool = True) -> None:
     sub.add_argument("--seed", type=int, default=0)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process: parse_args leaves it
+    unchanged and returns a fresh namespace per call, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="schauderlab",
         description="Norms, geometric constants and stability checks for projection families.",

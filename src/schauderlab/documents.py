@@ -83,19 +83,18 @@ def norm_to_doc(spec: NormSpec) -> dict:
 # Compact CLI spellings ("power:2", "max", "orlicz:exp:1", "@file.json")
 
 
-def _load_json(path: str) -> dict:
+def load_doc(spec: str) -> dict:
+    """A JSON document given inline or, after a leading "@", as a file path."""
     try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+        return json.loads(Path(spec[1:]).read_text() if spec.startswith("@") else spec)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DocumentError(f"cannot parse document {spec!r}: {exc}") from exc
 
 
 def parse_phi_spec(text: str) -> OrliczFunction:
     """power:P | exp:ALPHA | pwl:t,v;t,v;... | @file.json"""
     if text.startswith("@"):
-        return phi_from_doc(_load_json(text[1:]))
+        return phi_from_doc(load_doc(text))
     kind, _, rest = text.partition(":")
     try:
         if kind == "power":
@@ -113,7 +112,7 @@ def parse_phi_spec(text: str) -> OrliczFunction:
 def parse_norm_spec(text: str) -> NormSpec:
     """power:P | max | orlicz:<gauge spec> | @file.json"""
     if text.startswith("@"):
-        return norm_from_doc(_load_json(text[1:]))
+        return norm_from_doc(load_doc(text))
     if text == "max":
         return NormSpec.max_norm()
     head, _, rest = text.partition(":")

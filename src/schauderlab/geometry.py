@@ -24,21 +24,27 @@ from .kernel import (
     SPECTRAL_EXACT,
     ConstantEstimate,
     _span_rows,
-    solve_monotone,
     unit_sphere_sampler,
 )
 from .orlicz import NormSpec, OrliczFunction, luxemburg_norm, rowwise_norm, vector_norm
 
 SIGN_BUDGET = 24
 COEFFICIENT_BUDGET = 20
-GRID_POINTS_PER_AXIS = 17
-GRID_PATTERN_BUDGET = 1 << 24
 
 _SQRT_PI = math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------------------
 # Rademacher sign enumeration
+
+
+def _bit_chunks(k: int, lo: int, hi: int, chunk: int = 1 << 13) -> Iterator[np.ndarray]:
+    """Rows of bit j of each index lo..hi-1 in column j, as floats, in
+    chunks of ``chunk`` consecutive indices from lo."""
+    cols = np.arange(k, dtype=np.int64)
+    for start in range(lo, hi, chunk):
+        idx = np.arange(start, min(start + chunk, hi), dtype=np.int64)
+        yield ((idx[:, None] >> cols) & 1).astype(float)
 
 
 def _sign_chunks(n: int, chunk: int = 1 << 13) -> Iterator[np.ndarray]:
@@ -48,10 +54,8 @@ def _sign_chunks(n: int, chunk: int = 1 << 13) -> Iterator[np.ndarray]:
     and these patterns, one from each pair +-eps, carry every value.
     """
     half = 1 << (n - 1)
-    cols = np.arange(n, dtype=np.int64)
-    for start in range(0, half, chunk):
-        idx = np.arange(start, min(start + chunk, half), dtype=np.int64) | half
-        yield ((idx[:, None] >> cols) & 1).astype(float) * 2.0 - 1.0
+    for bits in _bit_chunks(n, half, 2 * half, chunk):
+        yield bits * 2.0 - 1.0
 
 
 def _stack_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -129,37 +133,14 @@ def _coefficient_chunks(mode: str, k: int, chunk: int = 1 << 13) -> Iterator[np.
 
     zero-one enumerates its 2^k patterns exactly.  signs covers its 2^k
     patterns through the 2^(k-1) with a last sign of +1: the norm is
-    symmetric, so c and -c give the same ratio.  The unit-interval grid
-    uses 17 points per axis when the full product is affordable; beyond
-    that the cube's extreme points together with the zero-one masks are
-    enumerated instead, which convexity shows carry the maximum of any
-    norm over the cube.
+    symmetric, so c and -c give the same ratio.  unit-disc-grid ranges
+    over the cube [-1, 1]^k, where c -> ||sum_i c_i y_i|| is convex and so
+    peaks at a vertex: it enumerates the sign patterns.
     """
-    if mode == "signs":
-        yield from _sign_chunks(k, chunk)
-        return
     if mode == "zero-one":
-        cols = np.arange(k, dtype=np.int64)
-        total = 1 << k
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            yield ((idx[:, None] >> cols) & 1).astype(float)
-        return
-    if mode == "unit-disc-grid":
-        if GRID_POINTS_PER_AXIS**k <= GRID_PATTERN_BUDGET:
-            axis = np.linspace(-1.0, 1.0, GRID_POINTS_PER_AXIS)
-            buf = []
-            for combo in itertools.product(axis, repeat=k):
-                buf.append(combo)
-                if len(buf) == chunk:
-                    yield np.array(buf)
-                    buf = []
-            if buf:
-                yield np.array(buf)
-        else:
-            yield from _coefficient_chunks("signs", k, chunk)
-            yield from _coefficient_chunks("zero-one", k, chunk)
-        return
+        return _bit_chunks(k, 0, 1 << k, chunk)
+    if mode in ("signs", "unit-disc-grid"):
+        return _sign_chunks(k, chunk)
     raise ValueError(f"unknown coefficient set {mode!r}")
 
 
@@ -174,8 +155,11 @@ def unconditional_constant(
 
     Exact over coefficients, a lower bound over vectors; orthogonal
     blocks in the euclidean ambient give the exact value 1 directly.
-    The signs mode, and the grid mode's fallback for k > 5, evaluate one
-    pattern of each pair +-c; the witness is then one with c_k = +1.
+    The signs mode evaluates one pattern of each pair +-c; the witness is
+    then one with c_k = +1.  unit-disc-grid ranges over real c_i in
+    [-1, 1]; by convexity the sign patterns carry its maximum, so it
+    returns exactly what signs returns.  For a complex family that is a
+    lower bound on the constant over the complex unit disc.
     """
     k = family.block_count
     if k > COEFFICIENT_BUDGET:
@@ -378,14 +362,20 @@ def besselian_constant(
 def khintchine_crossover() -> float:
     """The exponent in (1, 2) where gamma((p+1)/2) falls to sqrt(pi)/2.
 
-    gamma((p+1)/2) - sqrt(pi)/2 also vanishes at p = 2, so the bisection
-    bracket stops at 1.95 to isolate the interior root.
+    gamma((p+1)/2) - sqrt(pi)/2 decreases from a positive value at p = 1
+    and vanishes again at p = 2, so the bisection bracket stops at 1.95
+    to isolate the interior root.  The upper end, where the difference
+    is <= 0, is returned once the bracket is narrower than
+    1e-11 * (1 + hi).
     """
-
-    def f(p: float) -> float:
-        return math.gamma((p + 1.0) / 2.0) - _SQRT_PI / 2.0
-
-    return solve_monotone(f, 0.0, (1.0, 1.95), tol_abs=1e-11)
+    lo, hi = 1.0, 1.95
+    while hi - lo > 1e-11 * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        if math.gamma((mid + 1.0) / 2.0) > _SQRT_PI / 2.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @dataclass(frozen=True)

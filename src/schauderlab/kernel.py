@@ -1,4 +1,4 @@
-"""Shared numerical services: root finding, inversion, operator norms,
+"""Shared numerical services: inversion, operator norms,
 unit-sphere sampling, and the estimate container used by every constant
 computed in this package.
 
@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
-
-from .errors import ConvergenceError
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
@@ -61,52 +59,6 @@ class InversionResult:
     condition: float
     singular: bool
     residual: float = 0.0
-
-
-def solve_monotone(
-    f: Callable[[float], float],
-    target: float,
-    bracket: tuple[float, float],
-    *,
-    tol_abs: float = ABS_TOL,
-    max_expansions: int = 200,
-) -> float:
-    """Leftmost point where a nonincreasing ``f`` drops to ``target``.
-
-    The bracket endpoints are hints; they are expanded geometrically
-    (at most ``max_expansions`` doublings or halvings per side) until
-    f(lo) > target >= f(hi), then bisected until the bracket width is
-    below tol_abs * (1 + hi).  The feasible (hi) end is returned, so the
-    result always satisfies f(result) <= target.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo <= hi) or not math.isfinite(hi):
-        raise ValueError(f"bad bracket ({lo}, {hi})")
-
-    steps = 0
-    while f(hi) > target:
-        lo = hi
-        hi *= 2.0
-        steps += 1
-        if steps > max_expansions or not math.isfinite(hi):
-            raise ConvergenceError("failed to bracket from above")
-    steps = 0
-    while f(lo) <= target:
-        hi = lo
-        lo *= 0.5
-        steps += 1
-        if steps > max_expansions:
-            raise ConvergenceError("failed to bracket from below")
-
-    while hi - lo > tol_abs * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket exhausted in floats
-            break
-        if f(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 def spectral_norm(matrix: np.ndarray) -> float:

@@ -292,21 +292,6 @@ def rowwise_norm(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
     return _luxemburg_rows(spec.phi, m)
 
 
-def block_psi_norm(block_norms: Sequence[float] | np.ndarray, spec: NormSpec) -> float:
-    """Aggregate a profile of per-block norms with a second norm.
-
-    The profile must be elementwise nonnegative.  Power aggregation, by a
-    power norm or a power gauge, uses the closed form; other gauges go
-    through the Luxemburg solver.
-    """
-    t = np.asarray(block_norms, dtype=float)
-    if t.ndim != 1:
-        raise ValueError("block norm profile must be one-dimensional")
-    if np.any(t < 0):
-        raise ValueError("block norm profile must be nonnegative")
-    return vector_norm(t, spec)
-
-
 @dataclass(frozen=True)
 class Delta2Report:
     grid: tuple[float, ...]

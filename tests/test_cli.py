@@ -433,6 +433,32 @@ def test_exit_code_2_on_missing_document_file(capsys, tmp_path, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("content", [None, "{not json"])
+def test_exit_code_2_on_unreadable_psi_file(capsys, tmp_path, family_file, content):
+    # --psi @file goes through the same document loader as --family
+    path = tmp_path / "psi.json"
+    if content is not None:
+        path.write_text(content)
+    rc, out, err = run_cli(capsys, "constants", "--family", f"@{family_file}", "--psi", f"@{path}")
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "psi.json" in err
+    assert out == ""
+
+
+def test_parser_is_built_once_and_helps_like_a_fresh_one(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    fresh = cli.build_parser.__wrapped__()
+    for argv in (["--help"], ["constants", "--help"], ["sweep", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        shown = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            fresh.parse_args(argv)
+        assert capsys.readouterr().out == shown
+
+
 def test_exit_code_3_on_numerical_failure(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError("bracket failed")

@@ -172,8 +172,8 @@ def test_unconditional_matches_full_loop(mode, k, scalars):
     elif k <= 5:
         patterns = list(itertools.product(grid, repeat=k))
     else:
-        # beyond five blocks the grid mode covers the cube's extreme
-        # points and the zero-one masks
+        # beyond five blocks the 17-point grid is too large; the cube's
+        # extreme points and the zero-one masks carry its maximum
         patterns = list(itertools.product((-1.0, 1.0), repeat=k)) + list(itertools.product((0.0, 1.0), repeat=k))
     for name in ("l1", "exp"):
         norm = BRUTE_NORMS[name]
@@ -185,6 +185,22 @@ def test_unconditional_matches_full_loop(mode, k, scalars):
         parts = [b @ x for b in fam.blocks]
         replay = vector_norm(sum(ci * y for ci, y in zip(c, parts)), norm) / vector_norm(sum(parts), norm)
         assert replay == pytest.approx(est.value, rel=1e-10), name
+
+
+@pytest.mark.parametrize("scalars", ["real", "complex"])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 6])
+def test_unit_disc_grid_is_the_sign_enumeration(k, scalars):
+    # by convexity the cube [-1, 1]^k peaks at a sign pattern, so the grid
+    # mode returns the signs estimate: value, tag, trials and witness
+    for name in ("l1", "max", "exp"):
+        fam = transported(k, scalars, BRUTE_NORMS[name], seed=k + 20)
+        grid = unconditional_constant(fam, "unit-disc-grid", samples=4, seed=5)
+        signs = unconditional_constant(fam, "signs", samples=4, seed=5)
+        assert grid.value == signs.value, name
+        assert (grid.method, grid.trials) == (signs.method, signs.trials) == (SAMPLED_LOWER_BOUND, 4), name
+        assert grid.witness.keys() == signs.witness.keys() == {"coefficients", "x"}, name
+        for key in ("coefficients", "x"):
+            np.testing.assert_array_equal(grid.witness[key], signs.witness[key], err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +237,9 @@ def test_unconditional_oblique_signs_matches_reflection_norm():
 
 
 def test_unconditional_zero_one_below_grid():
-    # the grid contains every zero-one pattern, so with the same sample
-    # stream the grid constant dominates
+    # the zero-one patterns lie in the cube [-1, 1]^k, whose maximum the
+    # grid mode takes at a sign pattern, so with the same sample stream
+    # the grid constant dominates
     fam = oblique_pair()
     for seed in (0, 1, 2):
         zo = unconditional_constant(fam, "zero-one", samples=64, seed=seed)

@@ -1,5 +1,5 @@
-"""Tests for the shared numerical kernel: bisection, operator norms,
-inversion diagnostics, samplers."""
+"""Tests for the shared numerical kernel: operator norms, inversion
+diagnostics, samplers."""
 
 import math
 import sys
@@ -9,7 +9,6 @@ import pytest
 
 from schauderlab.decomposition import ModelSpace, make_coordinate_family, selfadjoint_defect, validate_family
 from schauderlab.documents import perturbation_transport
-from schauderlab.errors import ConvergenceError
 from schauderlab.kernel import (
     CERTIFIED_UPPER_BOUND,
     EXACT_ENUMERATION,
@@ -17,52 +16,11 @@ from schauderlab.kernel import (
     ConstantEstimate,
     invert_with_condition,
     operator_norm,
-    solve_monotone,
     spectral_norm,
     unit_sphere_sampler,
 )
 from schauderlab.orlicz import NormSpec, OrliczFunction, vector_norm
 from schauderlab.stability import build_similarity
-
-
-# ---------------------------------------------------------------------------
-# solve_monotone
-
-
-def test_solve_monotone_reciprocal():
-    # 1/rho = 1  =>  rho = 1
-    root = solve_monotone(lambda r: 1.0 / r, 1.0, (0.5, 0.5))
-    assert abs(root - 1.0) <= 1e-10
-
-
-def test_solve_monotone_inverse_square():
-    # 25 / rho^2 = 1  =>  rho = 5, started far from the answer
-    root = solve_monotone(lambda r: 25.0 / r**2, 1.0, (0.1, 0.1))
-    assert abs(root - 5.0) <= 1e-10
-
-
-def test_solve_monotone_returns_feasible_end():
-    # the returned point satisfies f(root) <= target
-    f = lambda r: 2.0 / r
-    root = solve_monotone(f, 1.0, (1.0, 1.0))
-    assert f(root) <= 1.0
-    assert abs(root - 2.0) <= 1e-9
-
-
-def test_solve_monotone_random_powers():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        a = float(rng.uniform(0.5, 20.0))
-        q = float(rng.uniform(0.5, 4.0))
-        # a / rho^q = 1  =>  rho = a^(1/q)
-        root = solve_monotone(lambda r: a / r**q, 1.0, (1.0, 1.0))
-        assert abs(root - a ** (1.0 / q)) <= 1e-8 * (1.0 + a ** (1.0 / q))
-
-
-def test_solve_monotone_bad_bracket():
-    # f stays above the target forever: no finite bracket exists
-    with pytest.raises(ConvergenceError):
-        solve_monotone(lambda r: 2.0, 1.0, (1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from schauderlab.orlicz import (
     NormSpec,
     OrliczFunction,
     _luxemburg_rows,
-    block_psi_norm,
     delta2_margin,
     divergence_witness,
     luxemburg_norm,
@@ -341,26 +340,21 @@ def test_rowwise_power_and_max():
 
 
 def test_block_psi_norm_pythagoras():
-    assert block_psi_norm([3.0, 4.0], NormSpec.power(2.0)) == pytest.approx(5.0)
-
-
-def test_block_psi_norm_rejects_negative_profile():
-    with pytest.raises(ValueError):
-        block_psi_norm([1.0, -0.5], NormSpec.power(2.0))
+    assert vector_norm([3.0, 4.0], NormSpec.power(2.0)) == pytest.approx(5.0)
 
 
 def test_block_psi_norm_two_routes_agree():
-    # closed-form power aggregation vs the Luxemburg solver for the same
-    # exponent: independent computations, same number.  A power gauge
-    # aggregate takes the closed form too.
+    # closed-form power aggregation of a block-norm profile vs the
+    # Luxemburg solver for the same exponent: independent computations,
+    # same number.  A power gauge aggregate takes the closed form too.
     rng = np.random.default_rng(12)
     for p in (1.5, 2.0, 4.0):
         direct = NormSpec.power(p)
         via_gauge = NormSpec.orlicz(OrliczFunction.power(p))
         for _ in range(10):
             profile = np.abs(rng.standard_normal(5))
-            a = block_psi_norm(profile, direct)
-            assert block_psi_norm(profile, via_gauge) == a
+            a = vector_norm(profile, direct)
+            assert vector_norm(profile, via_gauge) == a
             assert luxemburg_norm(OrliczFunction.power(p), profile) == pytest.approx(a, rel=1e-9)
 
 
