@@ -188,11 +188,12 @@ def _cmd_rademacher(args) -> None:
 def _cmd_constants(args) -> None:
     family = family_from_doc(load_doc(args.family))
     psi = parse_norm_spec(args.psi)
-    estimates: list[tuple[str, object]] = []
-    for mode in ("zero-one", "signs", "unit-disc-grid"):
-        estimates.append(
-            (f"unconditional-{mode}", geometry.unconditional_constant(family, mode, args.samples, args.seed))
-        )
+    estimates: list[tuple[str, object]] = [
+        (f"unconditional-{mode}", geometry.unconditional_constant(family, mode, args.samples, args.seed))
+        for mode in ("zero-one", "signs")
+    ]
+    # unit-disc-grid enumerates the sign patterns, so it returns the signs estimate
+    estimates.append(("unconditional-unit-disc-grid", estimates[-1][1]))
     if family.space.norm.power_exponent() == 2.0:
         estimates.append(("riesz", geometry.riesz_constant(family)))
     estimates.append(("hilbertian", geometry.hilbertian_constant(family, psi, args.samples, args.seed)))

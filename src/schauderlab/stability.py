@@ -10,6 +10,8 @@ conjugation identities hold instead of assuming them.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -87,16 +89,12 @@ def _line_search(r: np.ndarray, c: np.ndarray, step: np.ndarray, norm: NormSpec,
         best[live], a[live], b[live] = t[rows, k], t[rows, k - 1], t[rows, k + 1]
 
 
-def _nearest_rows(
-    x: np.ndarray, basis: np.ndarray, norm: NormSpec, tol: float = 1e-10, max_sweeps: int = 60
-) -> tuple[list[float], np.ndarray]:
-    """nearest_in_span of every row of x: the distances and the nearest points.
+def _descent(x: np.ndarray, q: np.ndarray, norm: NormSpec, tol: float, max_sweeps: int) -> np.ndarray:
+    """Coefficients of the coordinate descent behind nearest_in_span.
 
     Each row stops on its own and every step is elementwise or rowwise,
     so a row's result does not depend on the other rows.
     """
-    q = np.asarray(basis)
-    x = np.asarray(x)
     d = _span_rows(x, q.conj().T)  # the euclidean warm start q^H x
     parts = (1.0, 1.0j) if np.iscomplexobj(d) else (1.0,)
     live = np.arange(x.shape[0])
@@ -112,8 +110,153 @@ def _nearest_rows(
         live = live[moved > tol * (1.0 + np.abs(d[live]).max(axis=1, initial=0.0))]
         if not live.size:
             break
+    return d
+
+
+# Real l1 and l-inf distances are linear programs, solved exactly by
+# enumerating their basic solutions while there are at most this many
+SUBSET_BUDGET = 10_000
+# r x r minors below this share of the largest are taken as zero
+_MINOR_TOL = 1e-12
+# a row whose primal exceeds its dual by more than this relative gap, plus
+# a rounding allowance of _ROUNDING * ||x||_1, is handed to the descent
+_GAP_TOL = 1e-12
+_ROUNDING = 16.0 * float(np.finfo(float).eps)
+
+
+@functools.lru_cache(maxsize=64)
+def _subsets(n: int, r: int) -> np.ndarray:
+    """The r-subsets of range(n) in lexicographic order, one per row."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), r))
+    out = np.fromiter(flat, dtype=np.intp).reshape(math.comb(n, r), r)
+    out.flags.writeable = False  # cached: every caller gets this array
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _cofaces(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (r+1)-subsets S of range(n), and for each the rows of _subsets(n, r)
+    that hold S without its k-th member, k = 0..r."""
+    large = _subsets(n, r + 1)
+    # read as base-n numerals, sorted subsets keep their lexicographic order
+    digits = n ** np.arange(r - 1, -1, -1)
+    keys = _subsets(n, r) @ digits
+    faces = np.stack([np.searchsorted(keys, np.delete(large, k, axis=1) @ digits) for k in range(r + 1)], axis=1)
+    faces.flags.writeable = False
+    return large, faces
+
+
+def _chebyshev(x: np.ndarray, q: np.ndarray, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Coefficients and dual values of min_d ||x - q d||_inf for every row.
+
+    By Hahn-Banach the distance is max |l.x| over l with q^T l = 0 and
+    ||l||_1 <= 1, and the extreme such l live on r+1 coordinates S: l_S
+    spans the null space of q_S^T, given by the signed r x r minors.  At
+    the best S the nearest point levels the residual to h sign(l_S), so
+    [q_S, sign l_S] [d; h] = x_S.  None when q has rank below r.
+    """
+    n, r = q.shape
+    large, faces = _cofaces(n, r)
+    lam = dets[faces]
+    lam[:, 1::2] *= -1.0
+    weight = np.abs(lam).sum(axis=1)
+    keep = weight > 0
+    if not keep.any():
+        return None
+    large, lam, weight = large[keep], lam[keep], weight[keep]
+    dot = np.zeros((x.shape[0], large.shape[0]))
+    for k in range(r + 1):
+        dot = dot + lam[:, k] * x[:, large[:, k]]
+    score = np.abs(dot) / weight
+    best = score.argmax(axis=1)
+    rows = np.arange(x.shape[0])
+    s = large[best]
+    system = np.concatenate([q[s], np.sign(lam[best])[:, :, None]], axis=2)
+    coeffs = np.linalg.solve(system, x[rows[:, None], s][:, :, None])[:, :r, 0]
+    return coeffs, score[rows, best]
+
+
+def _interpolation(x: np.ndarray, q: np.ndarray, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Coefficients and dual values of min_d ||x - q d||_1 for every row.
+
+    Some minimiser interpolates x on r coordinates T with q_T invertible,
+    so the distance is the least ||x - q q_T^-1 x_T||_1 over such T.  The
+    dual value is |l.x| / ||l||_inf for the l with q^T l = 0 that is
+    sign(x - q d) off the best T.  With n == r the span is everything and
+    l = 0, in any norm.  None when q has rank below r.
+    """
+    n, r = q.shape
+    keep = dets != 0.0
+    if not keep.any():
+        return None
+    t = _subsets(n, r)[keep]
+    inv = np.linalg.inv(q[t])
+    fit_rows = q @ inv  # (subsets, n, r): row i is q_i q_T^-1
+    picked = [x[:, t[:, k]] for k in range(r)]
+    total = np.zeros((x.shape[0], t.shape[0]))
+    for i in range(n):
+        fit = np.zeros_like(total)
+        for k in range(r):
+            fit = fit + fit_rows[:, i, k] * picked[k]
+        total = total + np.abs(x[:, i, None] - fit)
+    best = total.argmin(axis=1)
+    rows = np.arange(x.shape[0])[:, None]
+    tb, invb = t[best], inv[best]
+    coeffs = np.zeros((x.shape[0], r))
+    for k in range(r):
+        coeffs = coeffs + invb[:, :, k] * x[rows, tb[:, k, None]]
+    lam = np.sign(x - _span_rows(coeffs, q))
+    lam[rows, tb] = 0.0
+    g = _span_rows(lam, q.T)  # q^T l so far
+    lam_t = np.zeros((x.shape[0], r))
+    for j in range(r):
+        lam_t = lam_t - invb[:, j, :] * g[:, j, None]
+    lam[rows, tb] = lam_t
+    top = np.abs(lam).max(axis=1, initial=0.0)
+    return coeffs, np.abs((lam * x).sum(axis=1)) / np.where(top > 0, top, 1.0)
+
+
+def _basic_solutions(x: np.ndarray, q: np.ndarray, norm: NormSpec) -> tuple[np.ndarray, np.ndarray] | None:
+    """Exact coefficients and dual values for real data in l1 or l-inf, or
+    None where the descent must serve: other norms, complex data, more
+    than SUBSET_BUDGET subsets, or a basis of deficient rank."""
+    n, r = q.shape
+    linf = norm.variant == "max"
+    if not (linf or norm.power_exponent() == 1.0) or np.iscomplexobj(x) or np.iscomplexobj(q) or n < r:
+        return None
+    chebyshev = linf and n > r
+    if math.comb(n, r + chebyshev) > SUBSET_BUDGET:
+        return None
+    x = x.astype(float, copy=False)
+    dets = np.linalg.det(q[_subsets(n, r)])  # every r x r minor of q
+    dets[np.abs(dets) <= _MINOR_TOL * np.abs(dets).max()] = 0.0
+    return _chebyshev(x, q, dets) if chebyshev else _interpolation(x, q, dets)
+
+
+def _nearest_rows(
+    x: np.ndarray, basis: np.ndarray, norm: NormSpec, tol: float = 1e-10, max_sweeps: int = 60
+) -> tuple[list[float], np.ndarray]:
+    """nearest_in_span of every row of x: the distances and the nearest points.
+
+    Every step is elementwise or rowwise, or a solve per row, so a row's
+    result does not depend on the other rows.
+    """
+    q = np.asarray(basis)
+    x = np.asarray(x)
+    exact = _basic_solutions(x, q, norm)
+    d = _descent(x, q, norm, tol, max_sweeps) if exact is None else exact[0]
     nearest = _span_rows(d, q)
-    return [vector_norm(xi - ni, norm) for xi, ni in zip(x, nearest)], nearest
+    dists = [vector_norm(xi - ni, norm) for xi, ni in zip(x, nearest)]
+    if exact is not None:
+        dual = exact[1]
+        loose = np.flatnonzero(np.array(dists) - dual > _GAP_TOL * dual + _ROUNDING * np.abs(x).sum(axis=1))
+        if loose.size:
+            # such a row keeps whichever of its two primal values is smaller
+            for i, point in zip(loose, _span_rows(_descent(x[loose], q, norm, tol, max_sweeps), q)):
+                dist = vector_norm(x[i] - point, norm)
+                if dist < dists[i]:
+                    dists[i], nearest[i] = dist, point
+    return dists, nearest
 
 
 def nearest_in_span(
@@ -121,14 +264,22 @@ def nearest_in_span(
 ) -> tuple[float, np.ndarray]:
     """Distance from x to the column span of ``basis`` in ``norm``.
 
-    Coordinate descent over the coefficients from the euclidean warm
-    start, each coordinate (in complex data its real and imaginary parts
-    in turn) with a line search from the step max(0.25, 0.25 |d_j|): a
-    geometric probe grid brackets the minimum, and 17-point grids shrink
-    the bracket [a, b] 8-fold per round until b - a <= tol * (1 + |a| +
-    |b|).  Sweeps repeat, at most ``max_sweeps`` times, until no
-    coordinate moves by more than tol * (1 + max |d_j|).  Returns the
-    distance, as vector_norm(x - nearest), and the nearest point.
+    For real data in the l1 and l-inf ambients the distance is a linear
+    program, solved exactly by enumerating its basic solutions (Watson,
+    Approximation Theory and Numerical Methods, 1980): in l-inf the dual
+    functionals on r+1 coordinates, in l1 the interpolants on r
+    coordinates, while there are at most SUBSET_BUDGET of them.  Every
+    other case, and any row whose primal value exceeds its dual one by
+    more than 1e-12 relative, gets a coordinate descent over the
+    coefficients from the euclidean warm start (where a row had both, it
+    keeps the smaller distance).  The descent takes each coordinate (in
+    complex data its real and imaginary parts in turn) with a line search
+    from the step max(0.25, 0.25 |d_j|): a geometric probe grid brackets
+    the minimum, and 17-point grids shrink the bracket [a, b] 8-fold per
+    round until b - a <= tol * (1 + |a| + |b|).  Sweeps repeat, at most
+    ``max_sweeps`` times, until no coordinate moves by more than tol * (1
+    + max |d_j|).  Returns the distance, as vector_norm(x - nearest), and
+    the nearest point.
 
     A one-row call into the batch solver behind openings and reduced
     moduli; each row of a batch gets exactly the result it gets here.
@@ -185,8 +336,9 @@ def opening(a: Subspace, b: Subspace, norm: NormSpec | None = None, samples: int
 
     Equal spans short-circuit to exactly zero by a rank test.  In the
     euclidean ambient both directions are exact via principal angles;
-    any other norm gets a sampled lower bound with the inner distance
-    solved as a convex minimisation.
+    any other norm gets a sampled lower bound over unit vectors of the
+    one span, their distances to the other from nearest_in_span: exact
+    for real data in l1 and l-inf, a coordinate descent elsewhere.
     """
     if a.space.dim != b.space.dim:
         raise ValueError("subspaces live in different ambient dimensions")

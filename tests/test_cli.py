@@ -504,6 +504,10 @@ OUTPUT_DIGESTS = {
     ("validate", "text"): "a7e6cc521324ee23206a7e998b547dbb5f5d4285a6b40fd8a472ac46bcecf953",
     ("lambda", "json"): "a13febaf71bd9ea9d439eecfac9553786e8af032092bf6ef6fb253773a52862d",
     ("lambda", "text"): "664b27c451b5f8a1ce38e0f188c3052656749f5cbeb1615413bdc67d22b7d489",
+    # recorded while constants still ran the unit-disc-grid enumeration
+    ("constants", "json"): "e3053b06bd6ad148ea47291f9c505c19662282d0a3a16e67e3c2b0e497df70d0",
+    ("constants", "text"): "e38267d5e960d2efeebbfd9a99fd58c68580ebb755ff401c5b8f7dbbbdb4ebde",
+    ("constants", "csv"): "a5aab38724cd6025f95443380332418bfd60dcfc3da3994091a5572b7bf0875a",
 }
 
 
@@ -524,8 +528,25 @@ def digest_documents(tmp_path_factory):
 
 @pytest.mark.parametrize("command, fmt", sorted(OUTPUT_DIGESTS))
 def test_output_bytes_are_unchanged(capsys, digest_documents, command, fmt):
-    flag = "--family" if command in ("validate", "lambda") else "--scenario"
+    flag = "--family" if command in ("validate", "lambda", "constants") else "--scenario"
     rc, out, _ = run_cli(capsys, command, flag, digest_documents[flag], "--format", fmt)
     assert rc == 0
     blanked = re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', out)
     assert hashlib.sha256(blanked.encode()).hexdigest() == OUTPUT_DIGESTS[command, fmt]
+
+
+def test_constants_enumerates_the_sign_patterns_once(capsys, monkeypatch, digest_documents):
+    modes = []
+    original = cli.geometry.unconditional_constant
+
+    def counting(family, mode, *args):
+        modes.append(mode)
+        return original(family, mode, *args)
+
+    monkeypatch.setattr(cli.geometry, "unconditional_constant", counting)
+    rc, out, _ = run_cli(capsys, "constants", "--family", digest_documents["--family"], "--format", "json")
+    assert rc == 0
+    assert modes == ["zero-one", "signs"]
+    rows = {row["constant"]: row for row in json.loads(out)["result"]["constants"]}
+    grid = dict(rows["unconditional-unit-disc-grid"], constant="unconditional-signs")
+    assert grid == rows["unconditional-signs"]

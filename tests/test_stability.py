@@ -1,5 +1,6 @@
 """Openings, perturbation thresholds, the similarity construction, and
 the reduced minimum modulus."""
+import itertools
 import math
 
 import numpy as np
@@ -167,8 +168,17 @@ def distance_case(rng, n, r, complex_data):
     return x, np.linalg.qr(a)[0]
 
 
-@pytest.mark.parametrize("complex_data", [False, True])
-@pytest.mark.parametrize("name", sorted(DISTANCE_NORMS))
+# real l1 and l-inf distances are exact, and the descent reference is not:
+# test_real_l1_linf_distances_match_vertex_enumeration covers them
+DESCENT_CASES = [
+    (name, complex_data)
+    for name in sorted(DISTANCE_NORMS)
+    for complex_data in (False, True)
+    if complex_data or name not in ("l1", "linf")
+]
+
+
+@pytest.mark.parametrize("name, complex_data", DESCENT_CASES)
 def test_nearest_matches_reference_descent(name, complex_data):
     # a sweep in an Orlicz norm costs the scalar reference up to a second
     # on complex data, and some descents take dozens; both sides stop
@@ -183,6 +193,197 @@ def test_nearest_matches_reference_descent(name, complex_data):
             want = reference_nearest(x, q, norm, max_sweeps=sweeps)
             assert abs(got - want) <= 1e-6 * want, (n, r, got, want)
             assert got == vector_norm(x - point, norm)
+
+
+# ---------------------------------------------------------------------------
+# exact real l1 and l-inf distances against vertex enumeration
+
+LINF = NormSpec.max_norm()
+EPS = float(np.finfo(float).eps)
+
+
+def vertex_distance(x, q, norm):
+    """Least ||x - q d|| over the vertices of the linear program.
+
+    l-inf: minimise h subject to |x - q d| <= h; a vertex solves
+    [q_S, s] [d; h] = x_S for r+1 coordinates S and signs s.  l1: some
+    minimiser interpolates x on r coordinates T with q_T invertible.
+    """
+    n, r = q.shape
+    if norm.variant == "max":
+        systems, rhs = [], []
+        for s in itertools.combinations(range(n), r + 1):
+            for signs in itertools.product((1.0, -1.0), repeat=r):
+                systems.append(np.column_stack([q[list(s)], (1.0,) + signs]))
+                rhs.append(x[list(s)])
+        systems, rhs = np.array(systems), np.array(rhs)
+    else:
+        subsets = [list(t) for t in itertools.combinations(range(n), r)]
+        systems, rhs = np.array([q[t] for t in subsets]), np.array([x[t] for t in subsets])
+    ok = np.abs(np.linalg.det(systems)) > 1e-12
+    coeffs = np.linalg.solve(systems[ok], rhs[ok][:, :, None])[:, :r, 0]
+    return min(vector_norm(x - q @ d, norm) for d in coeffs)
+
+
+@pytest.mark.parametrize("name", ["l1", "linf"])
+def test_real_l1_linf_distances_match_vertex_enumeration(name):
+    norm = DISTANCE_NORMS[name]
+    rng = np.random.default_rng(sorted(DISTANCE_NORMS).index(name))
+    for n in (8, 12, 16):
+        for r in (1, 2, 3):
+            for _ in range(2):
+                x, q = distance_case(rng, n, r, False)
+                got, point = nearest_in_span(x, q, norm)
+                want = vertex_distance(x, q, norm)
+                assert abs(got - want) <= 1e-12 * want, (n, r, got, want)
+                assert got == vector_norm(x - point, norm)
+
+
+# linprog (HiGHS) values for distance_case(np.random.default_rng(1309), n, r,
+# False) drawn in this order, computed once; the tests do not need scipy
+HIGHS_DISTANCES = [
+    (8, 2, 6.6051293234219415, 1.7947509318775539),
+    (12, 3, 7.2306461525664725, 1.2109940797499892),
+    (16, 3, 10.393961551368445, 1.4197399041388472),
+]
+
+
+def test_real_l1_linf_distances_match_linear_programming():
+    rng = np.random.default_rng(1309)
+    for n, r, l1, linf in HIGHS_DISTANCES:
+        x, q = distance_case(rng, n, r, False)
+        assert nearest_in_span(x, q, L1)[0] == pytest.approx(l1, rel=1e-12)
+        assert nearest_in_span(x, q, LINF)[0] == pytest.approx(linf, rel=1e-12)
+
+
+def no_descent(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact distance fell back to the descent")
+
+    monkeypatch.setattr(stability, "_descent", refuse)
+
+
+@pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
+def test_exact_distance_to_coordinate_subspaces(norm, monkeypatch):
+    # the Haar condition fails: most r x r minors are zero.  The distance
+    # to span{e_i : i in idx} is the norm of x with those entries zeroed
+    no_descent(monkeypatch)
+    rng = np.random.default_rng(4)
+    for n, idx in ((6, [1, 4]), (8, [0, 1, 2]), (5, [3])):
+        q = np.eye(n)[:, idx]
+        for x in rng.standard_normal((4, n)):
+            dist, point = nearest_in_span(x, q, norm)
+            off = x.copy()
+            off[idx] = 0.0
+            assert dist == vector_norm(off, norm)
+            assert np.array_equal(point[idx], x[idx])
+
+
+def test_degenerate_linf_rows_keep_the_smaller_descent_primal(monkeypatch):
+    # span{e0 + e1, e2}: where a lone coordinate k >= 3 carries the best
+    # functional, the levelled solve pins e0 and e1 to zero residual and
+    # misses the optimum, which splits their difference.  Those rows fail
+    # the duality check, and the descent's smaller primal replaces theirs
+    rng = np.random.default_rng(1)
+    q = np.zeros((7, 2))
+    q[0, 0] = q[1, 0] = q[2, 1] = 1.0
+    rows = rng.standard_normal((5, 7))
+    descended = []
+    original = stability._descent
+
+    def spy(x, *args):
+        descended.extend(map(tuple, x))
+        return original(x, *args)
+
+    monkeypatch.setattr(stability, "_descent", spy)
+    dists, _ = _nearest_rows(rows, q, LINF)
+    for x, dist in zip(rows, dists):
+        want = max(abs(x[0] - x[1]) / 2.0, np.abs(x[3:]).max())
+        assert dist == pytest.approx(want, rel=1e-9)
+    assert 0 < len(descended) < len(rows)
+
+
+@pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
+def test_exact_distance_edge_cases(norm, monkeypatch):
+    no_descent(monkeypatch)
+    rng = np.random.default_rng(5)
+    # x in the span: an exactly representable case gives exactly 0
+    q = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, -1.0]])
+    dist, point = nearest_in_span(np.array([2.0, 3.0, 5.0, 1.0]), q, norm)
+    assert dist == 0.0
+    assert np.array_equal(point, [2.0, 3.0, 5.0, 1.0])
+    # an empty basis: the distance is ||x|| and the nearest point 0
+    x = rng.standard_normal(5)
+    dist, point = nearest_in_span(x, np.zeros((5, 0)), norm)
+    assert dist == vector_norm(x, norm)
+    assert np.array_equal(point, np.zeros(5))
+    # N = r: the span is everything
+    assert nearest_in_span(x, np.eye(5), norm)[0] == 0.0
+    dist, _ = nearest_in_span(x, rng.standard_normal((5, 5)), norm)
+    assert dist <= 1e-14 * vector_norm(x, norm)
+
+
+def test_exact_distance_with_tied_references(monkeypatch):
+    # the distance to the constants: in l-inf every pair of a largest and
+    # a smallest entry is an optimal reference, in l1 both middle entries
+    # of an even count are optimal interpolants.  Each batch row picks as
+    # the one-row call does
+    no_descent(monkeypatch)
+    q = np.ones((6, 1))
+    cases = (
+        (LINF, [[1.0, -1.0, 1.0, -1.0, 1.0, -1.0], [2.0, 0.0, 2.0, 0.0, 1.0, 1.0], [3.0, 3.0, -3.0, -3.0, 0.0, 0.0]], [1.0, 1.0, 3.0]),
+        (L1, [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [-2.0, 2.0, -1.0, 1.0, 5.0, -5.0], [0.5, 1.5, 2.5, -0.5, -1.5, -2.5]], [9.0, 16.0, 9.0]),
+    )
+    for norm, rows, want in cases:
+        dists, points = _nearest_rows(np.array(rows), q, norm)
+        assert dists == want
+        for x, dist, point in zip(rows, dists, points):
+            alone, alone_point = nearest_in_span(np.array(x), q, norm)
+            assert dist == alone
+            assert np.array_equal(point, alone_point)
+
+
+@pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
+def test_exact_distance_dual_meets_primal(norm):
+    # weak duality, up to the rounding of the dual's own sum, and the gap
+    # below which no row goes to the descent
+    rng = np.random.default_rng(6)
+    for n, r in ((8, 1), (12, 2), (16, 3)):
+        _, q = distance_case(rng, n, r, False)
+        x = rng.standard_normal((20, n))
+        coeffs, dual = stability._basic_solutions(x, q, norm)
+        primal = np.array([vector_norm(row, norm) for row in x - coeffs @ q.T])
+        assert np.all(dual * (1.0 - 8.0 * EPS) <= primal), (n, r)
+        assert np.all(primal <= dual * (1.0 + 1e-12)), (n, r)
+
+
+@pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
+def test_descent_serves_complex_and_over_budget_distances(norm, monkeypatch):
+    calls = []
+    original = stability._line_search
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(stability, "_line_search", counting)
+    rng = np.random.default_rng(7)
+    x, q = distance_case(rng, 8, 2, False)
+    nearest_in_span(x, q, norm)
+    assert not calls
+    x, q = distance_case(rng, 8, 2, True)
+    nearest_in_span(x, q, norm, max_sweeps=1)
+    assert calls
+    calls.clear()
+    # C(40, 5) and C(40, 4) both exceed SUBSET_BUDGET
+    x, q = distance_case(rng, 40, 4, False)
+    assert math.comb(40, 4) > stability.SUBSET_BUDGET
+    nearest_in_span(x, q, norm, max_sweeps=1)
+    assert calls
+    calls.clear()
+    # a basis of deficient rank has no basic solutions
+    nearest_in_span(x[:8], np.column_stack([q[:8, 0], q[:8, 0]]), norm, max_sweeps=1)
+    assert calls
 
 
 @pytest.mark.parametrize("complex_data", [False, True])
