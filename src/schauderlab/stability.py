@@ -114,8 +114,13 @@ def _descent(x: np.ndarray, q: np.ndarray, norm: NormSpec, tol: float, max_sweep
 
 
 # Real l1 and l-inf distances are linear programs, solved exactly by
-# enumerating their basic solutions while there are at most this many
-SUBSET_BUDGET = 10_000
+# enumerating their basic solutions while that holds at most this many
+# floats for a batch of 16 rows: per subset its r x r minors (l-inf) or its
+# n x r fit rows (l1), and r + 1 entries per row.  Within it, on batches of
+# 66 rows, the enumeration took at most about twice as long as the descent
+# (lines at the edge of the budget), and for r >= 2 less time on every
+# measured shape
+BASIC_SOLUTION_BUDGET = 1_000_000
 # r x r minors below this share of the largest are taken as zero
 _MINOR_TOL = 1e-12
 # a row whose primal exceeds its dual by more than this relative gap, plus
@@ -133,31 +138,29 @@ def _subsets(n: int, r: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _cofaces(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (r+1)-subsets S of range(n), and for each the rows of _subsets(n, r)
-    that hold S without its k-th member, k = 0..r."""
-    large = _subsets(n, r + 1)
-    # read as base-n numerals, sorted subsets keep their lexicographic order
-    digits = n ** np.arange(r - 1, -1, -1)
-    keys = _subsets(n, r) @ digits
-    faces = np.stack([np.searchsorted(keys, np.delete(large, k, axis=1) @ digits) for k in range(r + 1)], axis=1)
-    faces.flags.writeable = False
-    return large, faces
+def _minors(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square matrices, those below _MINOR_TOL
+    of the largest set to zero."""
+    dets = np.linalg.det(m)
+    dets[np.abs(dets) <= _MINOR_TOL * np.abs(dets).max()] = 0.0
+    return dets
 
 
-def _chebyshev(x: np.ndarray, q: np.ndarray, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _chebyshev(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Coefficients and dual values of min_d ||x - q d||_inf for every row.
 
     By Hahn-Banach the distance is max |l.x| over l with q^T l = 0 and
     ||l||_1 <= 1, and the extreme such l live on r+1 coordinates S: l_S
-    spans the null space of q_S^T, given by the signed r x r minors.  At
-    the best S the nearest point levels the residual to h sign(l_S), so
-    [q_S, sign l_S] [d; h] = x_S.  None when q has rank below r.
+    spans the null space of q_S^T, given by the signed r x r minors of
+    q_S.  At the best S the nearest point levels the residual to
+    h sign(l_S), so [q_S, sign l_S] [d; h] = x_S.  None when q has rank
+    below r.
     """
     n, r = q.shape
-    large, faces = _cofaces(n, r)
-    lam = dets[faces]
+    large = _subsets(n, r + 1)
+    # lam[:, k] is the minor of q_S without its k-th row, signed below
+    drop = np.array([np.delete(np.arange(r + 1), k) for k in range(r + 1)]).reshape(r + 1, r)
+    lam = _minors(q[large[:, drop]])
     lam[:, 1::2] *= -1.0
     weight = np.abs(lam).sum(axis=1)
     keep = weight > 0
@@ -176,7 +179,7 @@ def _chebyshev(x: np.ndarray, q: np.ndarray, dets: np.ndarray) -> tuple[np.ndarr
     return coeffs, score[rows, best]
 
 
-def _interpolation(x: np.ndarray, q: np.ndarray, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _interpolation(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Coefficients and dual values of min_d ||x - q d||_1 for every row.
 
     Some minimiser interpolates x on r coordinates T with q_T invertible,
@@ -186,11 +189,13 @@ def _interpolation(x: np.ndarray, q: np.ndarray, dets: np.ndarray) -> tuple[np.n
     l = 0, in any norm.  None when q has rank below r.
     """
     n, r = q.shape
-    keep = dets != 0.0
+    t = _subsets(n, r)
+    square = q[t]
+    keep = _minors(square) != 0.0
     if not keep.any():
         return None
-    t = _subsets(n, r)[keep]
-    inv = np.linalg.inv(q[t])
+    t = t[keep]
+    inv = np.linalg.inv(square[keep])
     fit_rows = q @ inv  # (subsets, n, r): row i is q_i q_T^-1
     picked = [x[:, t[:, k]] for k in range(r)]
     total = np.zeros((x.shape[0], t.shape[0]))
@@ -218,19 +223,18 @@ def _interpolation(x: np.ndarray, q: np.ndarray, dets: np.ndarray) -> tuple[np.n
 
 def _basic_solutions(x: np.ndarray, q: np.ndarray, norm: NormSpec) -> tuple[np.ndarray, np.ndarray] | None:
     """Exact coefficients and dual values for real data in l1 or l-inf, or
-    None where the descent must serve: other norms, complex data, more
-    than SUBSET_BUDGET subsets, or a basis of deficient rank."""
+    None where the descent must serve: other norms, complex data, an
+    enumeration over BASIC_SOLUTION_BUDGET, or a basis of deficient rank."""
     n, r = q.shape
     linf = norm.variant == "max"
     if not (linf or norm.power_exponent() == 1.0) or np.iscomplexobj(x) or np.iscomplexobj(q) or n < r:
         return None
     chebyshev = linf and n > r
-    if math.comb(n, r + chebyshev) > SUBSET_BUDGET:
+    per_subset = (r + 1) * r * r if chebyshev else n * r
+    if math.comb(n, r + chebyshev) * (per_subset + 16 * (r + 1)) > BASIC_SOLUTION_BUDGET:
         return None
     x = x.astype(float, copy=False)
-    dets = np.linalg.det(q[_subsets(n, r)])  # every r x r minor of q
-    dets[np.abs(dets) <= _MINOR_TOL * np.abs(dets).max()] = 0.0
-    return _chebyshev(x, q, dets) if chebyshev else _interpolation(x, q, dets)
+    return _chebyshev(x, q) if chebyshev else _interpolation(x, q)
 
 
 def _nearest_rows(
@@ -268,18 +272,19 @@ def nearest_in_span(
     program, solved exactly by enumerating its basic solutions (Watson,
     Approximation Theory and Numerical Methods, 1980): in l-inf the dual
     functionals on r+1 coordinates, in l1 the interpolants on r
-    coordinates, while there are at most SUBSET_BUDGET of them.  Every
-    other case, and any row whose primal value exceeds its dual one by
-    more than 1e-12 relative, gets a coordinate descent over the
-    coefficients from the euclidean warm start (where a row had both, it
-    keeps the smaller distance).  The descent takes each coordinate (in
-    complex data its real and imaginary parts in turn) with a line search
-    from the step max(0.25, 0.25 |d_j|): a geometric probe grid brackets
-    the minimum, and 17-point grids shrink the bracket [a, b] 8-fold per
-    round until b - a <= tol * (1 + |a| + |b|).  Sweeps repeat, at most
-    ``max_sweeps`` times, until no coordinate moves by more than tol * (1
-    + max |d_j|).  Returns the distance, as vector_norm(x - nearest), and
-    the nearest point.
+    coordinates, while that holds at most BASIC_SOLUTION_BUDGET floats
+    (in l-inf up to about 240 coordinates for a line, 100 for a
+    hyperplane).  Every other case, and any row whose primal value
+    exceeds its dual one by more than 1e-12 relative, gets a coordinate
+    descent over the coefficients from the euclidean warm start (where a
+    row had both, it keeps the smaller distance).  The descent takes each
+    coordinate (in complex data its real and imaginary parts in turn)
+    with a line search from the step max(0.25, 0.25 |d_j|): a geometric
+    probe grid brackets the minimum, and 17-point grids shrink the
+    bracket [a, b] 8-fold per round until b - a <= tol * (1 + |a| + |b|).
+    Sweeps repeat, at most ``max_sweeps`` times, until no coordinate
+    moves by more than tol * (1 + max |d_j|).  Returns the distance, as
+    vector_norm(x - nearest), and the nearest point.
 
     A one-row call into the batch solver behind openings and reduced
     moduli; each row of a batch gets exactly the result it gets here.

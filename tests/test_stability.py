@@ -375,15 +375,58 @@ def test_descent_serves_complex_and_over_budget_distances(norm, monkeypatch):
     nearest_in_span(x, q, norm, max_sweeps=1)
     assert calls
     calls.clear()
-    # C(40, 5) and C(40, 4) both exceed SUBSET_BUDGET
+    # both enumerations of a 4-dimensional span in 40 coordinates exceed
+    # BASIC_SOLUTION_BUDGET
     x, q = distance_case(rng, 40, 4, False)
-    assert math.comb(40, 4) > stability.SUBSET_BUDGET
+    assert math.comb(40, 4) * (40 * 4 + 16 * 5) > stability.BASIC_SOLUTION_BUDGET
     nearest_in_span(x, q, norm, max_sweeps=1)
     assert calls
     calls.clear()
     # a basis of deficient rank has no basic solutions
     nearest_in_span(x[:8], np.column_stack([q[:8, 0], q[:8, 0]]), norm, max_sweeps=1)
     assert calls
+
+
+@pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
+def test_exact_distance_to_hyperplanes(norm, monkeypatch):
+    # span = a^perp, so by duality the distance is |a.x| over the dual norm
+    # of a: ||a||_inf in l1, ||a||_1 in l-inf.  With r = N - 1 >= 17 the
+    # subsets are no longer small, and the answer is known in closed form
+    no_descent(monkeypatch)
+    rng = np.random.default_rng(8)
+    for n in (18, 24, 30):
+        a = rng.standard_normal(n)
+        q = np.linalg.svd(a[None, :])[2][1:].T  # orthonormal basis of a^perp
+        dual = np.abs(a).max() if norm is L1 else np.abs(a).sum()
+        x = rng.standard_normal((4, n))
+        dists, points = _nearest_rows(x, q, norm)
+        for row, dist, point in zip(x, dists, points):
+            assert dist == pytest.approx(abs(a @ row) / dual, rel=1e-12, abs=0.0), n
+            assert abs(a @ point) <= 1e-12 * np.abs(x).sum()
+
+
+def test_reduced_modulus_of_rank_one_in_max_norm():
+    # T = u v^T: ||T x||_inf = |v.x| ||u||_inf and dist(x, ker T) = |v.x| /
+    # ||v||_1 in l-inf, so every sample gives gamma = ||u||_inf ||v||_1.  The
+    # kernel is 17-dimensional in N = 18
+    rng = np.random.default_rng(9)
+    u, v = rng.standard_normal(18), rng.standard_normal(18)
+    est = reduced_minimum_modulus(np.outer(u, v), LINF, samples=8, seed=0)
+    assert est.value == pytest.approx(np.abs(u).max() * np.abs(v).sum(), rel=1e-10)
+    assert est.method == SAMPLED_UPPER_BOUND
+
+
+@pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
+@pytest.mark.parametrize("n, r", [(100, 97), (100, 3), (10_000, 1), (102, 101)])
+def test_over_budget_enumerations_build_nothing(norm, n, r, monkeypatch):
+    # C(100, 97) = 161,700 minors of size 97 x 97 would be about 12 GB, and
+    # the 10,000 interpolants of a line in l1 would hold 10^8 fit-row floats:
+    # such shapes go to the descent before any minor is taken
+    def refuse(*args):
+        raise AssertionError("an over-budget enumeration took its minors")
+
+    monkeypatch.setattr(stability, "_minors", refuse)
+    assert stability._basic_solutions(np.ones((2, n)), np.ones((n, r)), norm) is None
 
 
 @pytest.mark.parametrize("complex_data", [False, True])
