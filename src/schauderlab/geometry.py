@@ -26,7 +26,7 @@ from .kernel import (
     _span_rows,
     unit_sphere_sampler,
 )
-from .orlicz import NormSpec, OrliczFunction, luxemburg_norm, rowwise_norm, vector_norm
+from .orlicz import NormSpec, OrliczFunction, _extreme_rows, luxemburg_norm, rowwise_norm, vector_norm
 
 SIGN_BUDGET = 24
 COEFFICIENT_BUDGET = 20
@@ -117,11 +117,23 @@ def min_max_sign_norm(vectors: Sequence[np.ndarray], norm: NormSpec, mode: str) 
 
     ``trials`` counts the 2^n patterns covered; by the symmetry
     eps -> -eps half of them, those with a last sign of +1, are
-    evaluated, and the witness is one of those.
+    enumerated, and the witness is the first of those reaching the
+    extreme.  Of each chunk of patterns only those whose convexity bounds
+    can reach its extreme are solved (orlicz._extreme_rows); the value and
+    the witness are those of a full evaluation.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
-    return _sign_stats(vectors, norm)[2 if mode == "min" else 3]
+    x = _stack_vectors(vectors)
+    n = x.shape[0]
+    maximize = mode == "max"
+    best, witness = (-math.inf if maximize else math.inf), None
+    for signs in _sign_chunks(n):
+        idx, norms = _extreme_rows(signs @ x, norm, maximize)
+        i = int(np.argmax(norms) if maximize else np.argmin(norms))
+        if (norms[i] > best) if maximize else (norms[i] < best):
+            best, witness = float(norms[i]), signs[idx[i]].copy()
+    return ConstantEstimate(value=best, method=EXACT_ENUMERATION, witness={"signs": witness}, trials=1 << n)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +171,10 @@ def unconditional_constant(
     then one with c_k = +1.  unit-disc-grid ranges over real c_i in
     [-1, 1]; by convexity the sign patterns carry its maximum, so it
     returns exactly what signs returns.  For a complex family that is a
-    lower bound on the constant over the complex unit disc.
+    lower bound on the constant over the complex unit disc.  Of each
+    sample's chunk of patterns only those whose convexity bounds can reach
+    its largest norm are solved (orlicz._extreme_rows); the value and the
+    witness are those of a full evaluation, and ``trials`` counts samples.
     """
     k = family.block_count
     if k > COEFFICIENT_BUDGET:
@@ -184,11 +199,12 @@ def unconditional_constant(
         if denom <= 0:
             continue
         for coeffs in chunks:
-            ratios = rowwise_norm(coeffs @ tuple_rows, norm) / denom
+            idx, norms = _extreme_rows(coeffs @ tuple_rows, norm, maximize=True)
+            ratios = norms / denom
             i = int(np.argmax(ratios))
             if ratios[i] > best:
                 best = float(ratios[i])
-                best_witness = {"coefficients": coeffs[i].copy(), "x": x.copy()}
+                best_witness = {"coefficients": coeffs[idx[i]].copy(), "x": x.copy()}
     return ConstantEstimate(
         value=best,
         method=SAMPLED_LOWER_BOUND,

@@ -12,6 +12,10 @@ matrix alike: a bracketed, safeguarded Newton iteration in 1/rho that
 returns the feasible end of a bracket no wider than 1e-12 * (1 + rho).
 Norms that are exactly lp norms, power gauges included, also have a
 closed form, which vector_norm and rowwise_norm use.
+
+The extremes over many rows that the enumerations in geometry take
+(unconditional constants, extreme sign norms) solve only the rows whose
+closed-form convexity bounds can reach the extreme (_extreme_rows).
 """
 from __future__ import annotations
 
@@ -92,6 +96,25 @@ class OrliczFunction:
         if np.any(beyond):
             out = np.where(beyond, vs[-1] + self._slopes[-1] * (t - ts[-1]), out)
         return out
+
+    def _inverse(self, y: np.ndarray) -> np.ndarray:
+        """The largest t with phi(t) <= y, at every y >= 0; vectorised.
+
+        log1p(y) / alpha for the exponential and y**(1/p) for a power.  A
+        piecewise-linear gauge inverts the segment holding y, the last one
+        extended past the final knot; a flat first segment gives its right
+        end at y = 0.
+        """
+        y = np.asarray(y, dtype=float)
+        if self.kind == "power":
+            return y ** (1.0 / self.p)
+        if self.kind == "exp":
+            return np.log1p(y) / self.alpha
+        vs = self._vs
+        # y's segment starts at the last knot with a value <= y, so it
+        # rises (or is the last one, whose slope is positive)
+        seg = np.minimum(np.searchsorted(vs, y, side="right") - 1, vs.size - 2)
+        return self._ts[seg] + (y - vs[seg]) / self._slopes[seg]
 
     def _slope_moment(self, t: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Row sums of t * phi'(t), given v = self.values(t) and its row sums g.
@@ -290,6 +313,62 @@ def rowwise_norm(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
     if spec.variant == "max":
         return np.abs(m).max(axis=1)
     return _luxemburg_rows(spec.phi, m)
+
+
+def _luxemburg_bounds(phi: OrliczFunction, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the Luxemburg norm rho of every row of a
+    nonnegative matrix, in closed form.
+
+    With n entries per row and phi^-1(y) the largest t with phi(t) <= y,
+    convexity and phi(0) = 0 give (Rao & Ren, Theory of Orlicz Spaces, 1991):
+    rho >= max a / phi^-1(1), from the largest term alone;
+    rho >= sum a / (n phi^-1(1/n)), from Jensen's inequality;
+    rho <= max a / phi^-1(max a / sum a), from phi(l t) <= l phi(t) for
+    l in [0, 1].  Zero rows get 0 and 0.  A row whose sum overflows gets
+    the lower bound inf, which bounds nothing.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        amax, total = a.max(axis=1, initial=0.0), a.sum(axis=1)
+        lower = np.maximum(amax / phi._inverse(1.0), total / (a.shape[1] * phi._inverse(1.0 / a.shape[1])))
+        upper = np.where(amax > 0.0, amax / phi._inverse(amax / total), 0.0)
+    return lower, upper
+
+
+# A row is left out of an extreme only when its bound misses the extreme by
+# more than _PRUNE_REL of it plus _PRUNE_ABS * (1 + extreme): twice the
+# solver's bracket, which is absolute for tiny norms, and a relative margin
+# above the rounding of the bounds and of long row sums (about n * eps).
+# Either keeps a pruned row's quotient by a shared denominator below the
+# extreme's, so no tie is lost
+_PRUNE_REL = 1e-9
+_PRUNE_ABS = 2.0 * ABS_TOL
+
+
+def _extreme_rows(rows: np.ndarray, spec: NormSpec, maximize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every row that can attain the largest (or smallest) norm: their
+    indices, ascending, and their norms, equal to rowwise_norm(rows)[idx].
+
+    Closed-form norms return every row.  For a Luxemburg norm only the rows
+    whose _luxemburg_bounds reach the best opposite bound, within the
+    _PRUNE_REL guard, are solved, through rowwise_norm.  Rows are solved
+    independently of each other, so the first extreme of the returned norms
+    is the first extreme of all rows.
+    """
+    m = np.asarray(rows)
+    if m.ndim != 2:
+        raise ValueError("expected a matrix")
+    if spec.variant != "orlicz" or spec.power_exponent() is not None or m.size == 0:
+        return np.arange(m.shape[0]), rowwise_norm(m, spec)
+    a = np.abs(m)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("rows must be finite")
+    lower, upper = _luxemburg_bounds(spec.phi, a)
+    if not np.all(np.isfinite(lower)):  # a row sum overflowed
+        return np.arange(m.shape[0]), rowwise_norm(m, spec)
+    edge = float(lower.max() if maximize else upper.min())
+    guard = _PRUNE_REL * edge + _PRUNE_ABS * (1.0 + edge)
+    idx = np.flatnonzero(upper >= edge - guard if maximize else lower <= edge + guard)
+    return idx, rowwise_norm(m[idx], spec)
 
 
 @dataclass(frozen=True)

@@ -221,19 +221,47 @@ def _interpolation(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return coeffs, np.abs((lam * x).sum(axis=1)) / np.where(top > 0, top, 1.0)
 
 
+def _hyperplane(x: np.ndarray, q: np.ndarray, linf: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """Coefficients and dual values of the l-inf or l1 distance from every
+    row to a hyperplane span (r = n - 1), in closed form.
+
+    The span is the orthogonal complement of a normal a, so by duality the
+    distance is |a.x| / ||a||_1 in l-inf and |a.x| / ||a||_inf in l1.  The
+    nearest point is x - (a.x / ||a||_1) sign(a) in l-inf, which levels
+    the residual, and x - (a.x / a_k) e_k at the largest |a_k| in l1.
+    None when q has rank below r.
+    """
+    n, r = q.shape
+    u, s, vh = np.linalg.svd(q)
+    if s[-1] <= _RANK_TOL * s[0]:
+        return None
+    a = u[:, r]
+    dot = x @ a
+    nearest = x.copy()
+    if linf:
+        weight = np.abs(a).sum()
+        nearest -= (dot / weight)[:, None] * np.sign(a)
+    else:
+        k = int(np.argmax(np.abs(a)))
+        weight = abs(a[k])
+        nearest[:, k] -= dot / a[k]
+    return (nearest @ u[:, :r] / s) @ vh, np.abs(dot) / weight
+
+
 def _basic_solutions(x: np.ndarray, q: np.ndarray, norm: NormSpec) -> tuple[np.ndarray, np.ndarray] | None:
     """Exact coefficients and dual values for real data in l1 or l-inf, or
     None where the descent must serve: other norms, complex data, an
-    enumeration over BASIC_SOLUTION_BUDGET, or a basis of deficient rank."""
+    enumeration over BASIC_SOLUTION_BUDGET that is not onto a hyperplane,
+    or a basis of deficient rank."""
     n, r = q.shape
     linf = norm.variant == "max"
     if not (linf or norm.power_exponent() == 1.0) or np.iscomplexobj(x) or np.iscomplexobj(q) or n < r:
         return None
+    x = x.astype(float, copy=False)
     chebyshev = linf and n > r
     per_subset = (r + 1) * r * r if chebyshev else n * r
     if math.comb(n, r + chebyshev) * (per_subset + 16 * (r + 1)) > BASIC_SOLUTION_BUDGET:
-        return None
-    x = x.astype(float, copy=False)
+        return _hyperplane(x, q, linf) if r == n - 1 else None
     return _chebyshev(x, q) if chebyshev else _interpolation(x, q)
 
 
@@ -274,7 +302,9 @@ def nearest_in_span(
     functionals on r+1 coordinates, in l1 the interpolants on r
     coordinates, while that holds at most BASIC_SOLUTION_BUDGET floats
     (in l-inf up to about 240 coordinates for a line, 100 for a
-    hyperplane).  Every other case, and any row whose primal value
+    hyperplane).  A hyperplane past that budget, the orthogonal complement
+    of a normal a, has the closed form |a.x| / ||a||_1 in l-inf and
+    |a.x| / ||a||_inf in l1.  Every other case, and any row whose primal value
     exceeds its dual one by more than 1e-12 relative, gets a coordinate
     descent over the coefficients from the euclidean warm start (where a
     row had both, it keeps the smaller distance).  The descent takes each

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from schauderlab import geometry, stability
+from schauderlab import geometry, orlicz, stability
 from schauderlab.decomposition import ModelSpace, ProjectionFamily, make_coordinate_family, transport_family
 from schauderlab.errors import BudgetError
 from schauderlab.geometry import (
@@ -201,6 +201,58 @@ def test_unit_disc_grid_is_the_sign_enumeration(k, scalars):
         assert grid.witness.keys() == signs.witness.keys() == {"coefficients", "x"}, name
         for key in ("coefficients", "x"):
             np.testing.assert_array_equal(grid.witness[key], signs.witness[key], err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# bound-pruned extremes: only rows that can win are solved, and the results
+# are those of a full evaluation of every pattern
+
+
+def estimate_bits(est):
+    witness = {k: np.asarray(v).tobytes() for k, v in est.witness.items()}
+    return est.value, est.method, est.trials, witness
+
+
+@pytest.mark.parametrize("scalars", ["real", "complex"])
+@pytest.mark.parametrize("name", ["exp", "pwl"])
+def test_pruned_extremes_equal_the_full_evaluation(name, scalars, monkeypatch):
+    norm = BRUTE_NORMS[name]
+    rng = np.random.default_rng(17)
+    fam = transported(10, scalars, norm, seed=4)
+    vectors = [rng.standard_normal(6) + (1j * rng.standard_normal(6) if scalars == "complex" else 0) for _ in range(11)]
+
+    def run():
+        return [unconditional_constant(fam, mode, samples=3, seed=2) for mode in ("zero-one", "signs")] + [
+            min_max_sign_norm(vectors, norm, mode) for mode in ("min", "max")
+        ]
+
+    pruned = run()
+    monkeypatch.setattr(geometry, "_extreme_rows", lambda m, spec, maximize: (np.arange(len(m)), rowwise_norm(m, spec)))
+    for got, want in zip(pruned, run()):
+        assert estimate_bits(got) == estimate_bits(want)
+
+
+def test_enumerations_solve_few_of_their_patterns(monkeypatch):
+    # an oblique exp:1 family with K = 12 blocks: fewer than 5% of the
+    # 2^12 patterns per sample reach the row solver, and so for the signs
+    rows = []
+    original = orlicz.rowwise_norm
+
+    def counting(m, spec):
+        rows.append(len(m))
+        return original(m, spec)
+
+    monkeypatch.setattr(orlicz, "rowwise_norm", counting)
+    norm = BRUTE_NORMS["exp"]
+    est = unconditional_constant(transported(12, "real", norm, seed=3), "zero-one", samples=3, seed=1)
+    assert est.trials == 3
+    assert 0 < sum(rows) < 0.05 * 3 * 2**12
+    rows.clear()
+    rng = np.random.default_rng(8)
+    vectors = [rng.standard_normal(12) for _ in range(14)]
+    for mode in ("min", "max"):
+        assert min_max_sign_norm(vectors, norm, mode).trials == 2**14
+    assert 0 < sum(rows) < 0.05 * 2 * 2**13
 
 
 # ---------------------------------------------------------------------------

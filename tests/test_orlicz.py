@@ -10,6 +10,8 @@ from schauderlab.orlicz import (
     Delta2Report,
     NormSpec,
     OrliczFunction,
+    _extreme_rows,
+    _luxemburg_bounds,
     _luxemburg_rows,
     delta2_margin,
     divergence_witness,
@@ -337,6 +339,121 @@ def test_rowwise_power_and_max():
     rows = np.array([[3.0, -4.0], [1.0, 1.0]])
     np.testing.assert_allclose(rowwise_norm(rows, NormSpec.power(2.0)), [5.0, math.sqrt(2.0)])
     np.testing.assert_allclose(rowwise_norm(rows, NormSpec.max_norm()), [4.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# the gauge inverse, convexity bounds and bound-pruned extremes over rows
+
+SOLVED_GAUGES = sorted(name for name, phi in KERNEL_GAUGES.items() if phi.kind != "power")
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GAUGES))
+def test_gauge_inverse_round_trips(name):
+    # phi^-1(y) is the largest t with phi(t) <= y; the knot values 0.2, 1
+    # and 4 are hit exactly, and 17 and 1e6 lie past every last knot
+    phi = KERNEL_GAUGES[name]
+    y = np.array([0.0, 1e-300, 1e-12, 1.0 / 64, 0.2, 0.5, 1.0, 3.9, 4.0, 17.0, 1e6])
+    t = phi._inverse(y)
+    # rounding t near 1 moves a slope-1 gauge by about 1e-16
+    np.testing.assert_allclose(phi.values(t), y, rtol=1e-13, atol=1e-15)
+    assert np.all(phi.values(t + 1e-9 * (1.0 + t)) > y)
+    if name == "pwl-flat-start":
+        assert phi._inverse(0.0) == 1.0
+
+
+def bound_rows(rng, n):
+    """Dense, sparse, constant and single-entry rows, with a zero row."""
+    dense = rng.standard_normal((20, n))
+    sparse = dense * (rng.random((20, n)) < 0.3)
+    single = np.zeros((3, n))
+    single[np.arange(3), rng.integers(0, n, 3)] = [0.4, -1.0, 3.0]
+    return np.vstack([dense, sparse, single, np.full((1, n), -0.7), np.zeros((1, n))])
+
+
+@pytest.mark.parametrize("n", [1, 9])
+@pytest.mark.parametrize("name", SOLVED_GAUGES)
+def test_convexity_bounds_hold_across_scales(name, n):
+    phi = KERNEL_GAUGES[name]
+    rng = np.random.default_rng(31 + n)
+    for scale in (1e-200, 1e-100, 1e-12, 1e-3, 1.0, 1e3, 1e12, 1e100, 1e150):
+        real = bound_rows(rng, n) * scale
+        for rows in (real, real + 1j * bound_rows(rng, n) * scale):
+            norms = rowwise_norm(rows, NormSpec.orlicz(phi))
+            lower, upper = _luxemburg_bounds(phi, np.abs(rows))
+            assert np.all(lower <= upper * (1.0 + 1e-13)), scale
+            assert np.all(lower * (1.0 - 1e-13) <= norms), scale
+            # the solver returns the feasible end of a bracket 1e-12 * (1 + rho) wide
+            assert np.all(norms <= upper * (1.0 + 1e-13) + ABS_TOL * (1.0 + upper)), scale
+
+
+def extreme_cases(rng):
+    """Row stacks for the pruned extremes: random rows, coefficient patterns
+    with many near-ties, exact ties among duplicated and negated rows, zero
+    rows, complex rows, and rows at 1e-200 and 1e150."""
+    dense = rng.standard_normal((300, 7))
+    bits = (np.arange(1 << 10)[:, None] >> np.arange(10)) & 1
+    patterns = bits @ rng.standard_normal((10, 7))
+    ties = dense.copy()
+    lux = rowwise_norm(dense, NormSpec.orlicz(OrliczFunction.scaled_exp(1.0)))
+    for i, at in ((np.argmax(lux), [20, 150, 299]), (np.argmin(lux), [30, 160, 298])):
+        ties[at] = dense[i], -dense[i], dense[i]
+    zeros = dense.copy()
+    zeros[[40, 41, 200]] = 0.0
+    return {
+        "dense": dense,
+        "patterns": patterns,
+        "ties": ties,
+        "zeros": zeros,
+        "complex": dense + 1j * rng.standard_normal(dense.shape),
+        "tiny": dense * 1e-200,
+        "huge": patterns * 1e150,
+    }
+
+
+@pytest.mark.parametrize("name", SOLVED_GAUGES)
+def test_extreme_rows_match_the_full_evaluation(name):
+    # every row that can reach the extreme is kept, with the norms of the
+    # full evaluation, so the first extreme, also of the quotients by a
+    # shared denominator, is the one the full evaluation finds
+    spec = NormSpec.orlicz(KERNEL_GAUGES[name])
+    for label, rows in extreme_cases(np.random.default_rng(5)).items():
+        full = rowwise_norm(rows, spec)
+        for maximize in (True, False):
+            pick = np.argmax if maximize else np.argmin
+            idx, norms = _extreme_rows(rows, spec, maximize)
+            assert np.all(np.diff(idx) > 0), label
+            np.testing.assert_array_equal(norms, full[idx], err_msg=label)
+            assert np.isin(np.flatnonzero(full == full[pick(full)]), idx).all(), label
+            for denom in (1.0, 0.8372611094, 3.1e-5, 7.0):
+                assert idx[pick(norms / denom)] == pick(full / denom), (label, maximize, denom)
+
+
+def test_extreme_rows_keep_every_row_of_a_closed_form():
+    rows = np.random.default_rng(6).standard_normal((50, 8))
+    for spec in (NormSpec.power(1.0), NormSpec.power(3.0), NormSpec.max_norm(),
+                 NormSpec.orlicz(OrliczFunction.power(3.0))):
+        idx, norms = _extreme_rows(rows, spec, True)
+        np.testing.assert_array_equal(idx, np.arange(rows.shape[0]))
+        np.testing.assert_array_equal(norms, rowwise_norm(rows, spec))
+
+
+def test_extreme_rows_solve_every_row_when_a_sum_overflows():
+    # the sum of the first row overflows, so its bounds say nothing
+    phi = OrliczFunction.piecewise_linear([(0.0, 0.0), (10.0, 0.0), (11.0, 1.0)])
+    rows = np.array([[1.5e308, 1.5e308, 0.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    full = rowwise_norm(rows, NormSpec.orlicz(phi))
+    for maximize in (True, False):
+        idx, norms = _extreme_rows(rows, NormSpec.orlicz(phi), maximize)
+        np.testing.assert_array_equal(idx, [0, 1, 2])
+        np.testing.assert_array_equal(norms, full)
+
+
+def test_extreme_rows_reject_nonfinite_rows():
+    rows = np.ones((4, 3))
+    rows[2, 1] = np.nan
+    for maximize in (True, False):
+        with pytest.raises(ValueError):
+            _extreme_rows(rows, NormSpec.orlicz(OrliczFunction.scaled_exp(1.0)), maximize)
 
 
 def test_block_psi_norm_pythagoras():

@@ -417,6 +417,43 @@ def test_reduced_modulus_of_rank_one_in_max_norm():
 
 
 @pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
+def test_hyperplanes_past_the_budget_take_the_closed_form(norm, monkeypatch):
+    # with N = 120 the basic solutions of a hyperplane are over budget in
+    # both norms, so the distance and the nearest point come from the
+    # normal; with N = 24 they are not, and the enumeration serves
+    no_descent(monkeypatch)
+    calls = []
+    original = stability._hyperplane
+
+    def spy(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(stability, "_hyperplane", spy)
+    rng = np.random.default_rng(12)
+    for n in (24, 120):
+        a = rng.standard_normal(n)
+        q = np.linalg.svd(a[None, :])[2][1:].T
+        dual = np.abs(a).max() if norm is L1 else np.abs(a).sum()
+        x = rng.standard_normal((6, n))
+        dists, points = _nearest_rows(x, q, norm)
+        for row, dist, point in zip(x, dists, points):
+            assert dist == pytest.approx(abs(a @ row) / dual, rel=1e-11, abs=0.0)
+            assert abs(a @ point) <= 1e-12 * np.abs(x).sum()
+        assert len(calls) == (n == 120), n
+
+
+def test_reduced_modulus_of_rank_one_past_the_budget_in_max_norm():
+    # the 100-dimensional kernel of a rank-1 matrix in N = 101 is a
+    # hyperplane past the budget; gamma = ||u||_inf ||v||_1 as in N = 18
+    rng = np.random.default_rng(10)
+    u, v = rng.standard_normal(101), rng.standard_normal(101)
+    est = reduced_minimum_modulus(np.outer(u, v), LINF, samples=8, seed=0)
+    assert est.value == pytest.approx(np.abs(u).max() * np.abs(v).sum(), rel=1e-10)
+    assert est.method == SAMPLED_UPPER_BOUND
+
+
+@pytest.mark.parametrize("norm", [L1, LINF], ids=["l1", "linf"])
 @pytest.mark.parametrize("n, r", [(100, 97), (100, 3), (10_000, 1), (102, 101)])
 def test_over_budget_enumerations_build_nothing(norm, n, r, monkeypatch):
     # C(100, 97) = 161,700 minors of size 97 x 97 would be about 12 GB, and
