@@ -25,6 +25,7 @@ from .documents import (
     StabilityScenario,
     family_from_doc,
     load_doc,
+    norm_from_doc,
     norm_to_doc,
     parse_norm_spec,
     parse_phi_spec,
@@ -165,8 +166,6 @@ def _cmd_rademacher(args) -> None:
     if norm is None:
         if "norm" not in doc:
             raise DocumentError("vectors document needs a 'norm' field or pass --norm")
-        from .documents import norm_from_doc
-
         norm = norm_from_doc(doc["norm"])
     try:
         vectors = [np.asarray(v, dtype=float) for v in doc["vectors"]]
@@ -355,7 +354,6 @@ def _cmd_sweep(args) -> None:
             rows.append([value, *row(args, doc, value), ""])
         except (DocumentError, ValueError, BudgetError, ConvergenceError, SingularMatrixError) as exc:
             rows.append([value] + [None] * (len(header) - 1) + [str(exc)])
-    args.format = "csv"
     _emit(args, "sweep", {}, csv_rows=(header + ["error"], rows))
 
 

@@ -37,24 +37,27 @@ _SQRT_PI = math.sqrt(math.pi)
 # ---------------------------------------------------------------------------
 # Rademacher sign enumeration
 
+# patterns per chunk of an enumeration
+_CHUNK = 1 << 13
 
-def _bit_chunks(k: int, lo: int, hi: int, chunk: int = 1 << 13) -> Iterator[np.ndarray]:
+
+def _bit_chunks(k: int, lo: int, hi: int) -> Iterator[np.ndarray]:
     """Rows of bit j of each index lo..hi-1 in column j, as floats, in
-    chunks of ``chunk`` consecutive indices from lo."""
+    chunks of _CHUNK consecutive indices from lo."""
     cols = np.arange(k, dtype=np.int64)
-    for start in range(lo, hi, chunk):
-        idx = np.arange(start, min(start + chunk, hi), dtype=np.int64)
+    for start in range(lo, hi, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
         yield ((idx[:, None] >> cols) & 1).astype(float)
 
 
-def _sign_chunks(n: int, chunk: int = 1 << 13) -> Iterator[np.ndarray]:
+def _sign_chunks(n: int) -> Iterator[np.ndarray]:
     """The 2^(n-1) sign patterns whose last sign is +1.
 
     Norms are symmetric, so ||sum_j eps_j x_j|| = ||sum_j -eps_j x_j||
     and these patterns, one from each pair +-eps, carry every value.
     """
     half = 1 << (n - 1)
-    for bits in _bit_chunks(n, half, 2 * half, chunk):
+    for bits in _bit_chunks(n, half, 2 * half):
         yield bits * 2.0 - 1.0
 
 
@@ -140,7 +143,7 @@ def min_max_sign_norm(vectors: Sequence[np.ndarray], norm: NormSpec, mode: str) 
 # Unconditionality
 
 
-def _coefficient_chunks(mode: str, k: int, chunk: int = 1 << 13) -> Iterator[np.ndarray]:
+def _coefficient_chunks(mode: str, k: int) -> Iterator[np.ndarray]:
     """Coefficient patterns for the three enumeration modes.
 
     zero-one enumerates its 2^k patterns exactly.  signs covers its 2^k
@@ -150,9 +153,9 @@ def _coefficient_chunks(mode: str, k: int, chunk: int = 1 << 13) -> Iterator[np.
     peaks at a vertex: it enumerates the sign patterns.
     """
     if mode == "zero-one":
-        return _bit_chunks(k, 0, 1 << k, chunk)
+        return _bit_chunks(k, 0, 1 << k)
     if mode in ("signs", "unit-disc-grid"):
-        return _sign_chunks(k, chunk)
+        return _sign_chunks(k)
     raise ValueError(f"unknown coefficient set {mode!r}")
 
 
@@ -259,21 +262,25 @@ def _profile_ratio(family: ProjectionFamily, psi: NormSpec, x: np.ndarray) -> np
     return np.divide(rowwise_norm(x, norm), agg, out=np.full(agg.shape, math.inf), where=agg != 0.0)
 
 
+# a refinement moves on a relative gain above _REL_GAIN and stops once its
+# step falls to _MIN_STEP
+_REL_GAIN = 1e-8
+_MIN_STEP = 1e-9
+
+
 def _coordinate_refine(
     fn,
     x0: np.ndarray,
     norm: NormSpec,
     *,
     maximize: bool,
-    rel_gain: float = 1e-8,
-    min_step: float = 1e-9,
     max_rounds: int = 200,
 ) -> tuple[np.ndarray, float]:
     """Coordinate-wise perturbation climb on the unit sphere of ``norm``.
 
     ``fn`` maps a stack of vectors to one value per row.  A round scans
     x + h e_i, then x - h e_i, for i = 0, 1, ..., normalised, and moves to
-    each candidate that beats the best value by more than rel_gain * |best|;
+    each candidate that beats the best value by more than _REL_GAIN * |best|;
     h halves after a round without a move.  The candidates left in the scan
     are normalised by one rowwise_norm call (norms <= 0 are skipped) and
     scored by one ``fn`` call; after a move only those behind it are formed
@@ -287,7 +294,7 @@ def _coordinate_refine(
     signs = np.tile([1.0, -1.0], n)  # scan position c moves coordinate c // 2
     h = 0.25
     rounds = 0
-    while h > min_step and rounds < max_rounds:
+    while h > _MIN_STEP and rounds < max_rounds:
         rounds += 1
         improved = False
         start = 0
@@ -301,7 +308,7 @@ def _coordinate_refine(
             vals = fn(cand)
             with np.errstate(invalid="ignore"):  # inf - inf never counts as a gain
                 gain = vals - best if maximize else best - vals
-            hit = np.flatnonzero(gain > rel_gain * max(abs(best), 1e-300))
+            hit = np.flatnonzero(gain > _REL_GAIN * max(abs(best), 1e-300))
             if not hit.size:
                 break
             x, best, improved = cand[hit[0]], vals[hit[0]], True

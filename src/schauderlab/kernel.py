@@ -129,20 +129,23 @@ def _span_rows(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
 def unit_sphere_sampler(norm: Any, dim: int, seed: int) -> Iterator[np.ndarray]:
     """Deterministic stream of vectors with unit ambient norm.
 
-    Gaussian directions normalised in the requested norm; the same seed
-    always reproduces the same stream.
+    Gaussian directions, drawn in blocks of 8, 16, ... 256 rows, each block
+    normalised by one row-kernel call: every draw is g / vector_norm(g) for
+    g drawn one at a time, and the same seed gives the same stream.  Draws
+    of zero or non-finite norm are skipped.
     """
-    from .orlicz import vector_norm  # deferred: avoids an import cycle
+    from .orlicz import _row_norms  # deferred: avoids an import cycle
 
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(seed)
+    rows = 8
     while True:
-        x = rng.standard_normal(dim)
-        nrm = vector_norm(x, norm)
-        if nrm <= 0 or not math.isfinite(nrm):
-            continue
-        yield x / nrm
+        x = rng.standard_normal((rows, dim))
+        nrm = _row_norms(x, norm)
+        keep = (nrm > 0) & np.isfinite(nrm)
+        yield from x[keep] / nrm[keep, None]
+        rows = min(2 * rows, 256)
 
 
 def operator_norm(matrix: np.ndarray, norm: Any, *, samples: int = 64, seed: int = 0) -> ConstantEstimate:

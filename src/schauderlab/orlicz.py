@@ -7,11 +7,12 @@ interpolants through user-supplied knots.  The induced (Luxemburg) norm
 of a finite sequence a is the smallest rho > 0 such that
 sum(phi(|a_n| / rho)) <= 1.
 
-One solver computes it, for a single sequence and for every row of a
-matrix alike: a bracketed, safeguarded Newton iteration in 1/rho that
-returns the feasible end of a bracket no wider than 1e-12 * (1 + rho).
-Norms that are exactly lp norms, power gauges included, also have a
-closed form, which vector_norm and rowwise_norm use.
+One row kernel (_row_norms) computes every ambient norm in the package:
+the closed form for norms that are exactly lp norms, power gauges
+included, the largest entry for max, and otherwise one Luxemburg solver,
+a bracketed, safeguarded Newton iteration in 1/rho that returns the
+feasible end of a bracket no wider than 1e-12 * (1 + rho).  Rows are
+independent, so a vector's norm equals its row's in any batch bit for bit.
 
 The extremes over many rows that the enumerations in geometry take
 (unconditional constants, extreme sign norms) solve only the rows whose
@@ -218,22 +219,11 @@ def _lp_norms(m: np.ndarray, p: float) -> np.ndarray:
 
 
 def vector_norm(x: Sequence[float] | np.ndarray, spec: NormSpec) -> float:
-    """Ambient norm of a vector under the given specification."""
+    """Ambient norm of a vector: its one-row :func:`rowwise_norm`, bit for bit."""
     v = np.asarray(x)
-    if spec.variant == "max":
-        return float(np.abs(v).max()) if v.size else 0.0
-    p = spec.power_exponent()
-    if p == 1.0:
-        return float(np.abs(v).sum())
-    if p is None:
-        return luxemburg_norm(spec.phi, v)
-    # _lp_norms for one vector, inline because this path runs hot.  It has
-    # no errstate guard, which would cost as much as the norm itself: an
-    # overflow warns here, and the rescaled fallback then corrects it.
-    s = float(np.abs(v * v.conj()).sum().real if p == 2.0 else (np.abs(v) ** p).sum())
-    if _NORMAL_MIN <= s < math.inf:
-        return math.sqrt(s) if p == 2.0 else s ** (1.0 / p)
-    return float(_lp_norms(v.reshape(1, -1), p)[0])
+    if v.ndim != 1:
+        raise ValueError("expected a one-dimensional vector")
+    return float(_row_norms(v[None, :], spec)[0])
 
 
 _MAX_PASSES = 400
@@ -302,17 +292,22 @@ def _luxemburg_rows(phi: OrliczFunction, rows: np.ndarray) -> np.ndarray:
     raise ConvergenceError(f"gauge never reaches the unit level within {_MAX_PASSES} passes")
 
 
-def rowwise_norm(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """Ambient norm of every row of a matrix, vectorised over the rows."""
-    m = np.asarray(rows)
-    if m.ndim != 2:
-        raise ValueError("expected a matrix")
+def _row_norms(m: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """Ambient norm of every row of a matrix: the one row kernel."""
     p = spec.power_exponent()
     if p is not None:
         return _lp_norms(m, p)
     if spec.variant == "max":
-        return np.abs(m).max(axis=1)
+        return np.abs(m).max(axis=1, initial=0.0)
     return _luxemburg_rows(spec.phi, m)
+
+
+def rowwise_norm(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """Ambient norm of every row of a matrix, through the one row kernel."""
+    m = np.asarray(rows)
+    if m.ndim != 2:
+        raise ValueError("expected a matrix")
+    return _row_norms(m, spec)
 
 
 def _luxemburg_bounds(phi: OrliczFunction, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

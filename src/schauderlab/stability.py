@@ -33,7 +33,7 @@ from .kernel import (
     spectral_norm,
     unit_sphere_sampler,
 )
-from .orlicz import NormSpec, rowwise_norm, vector_norm
+from .orlicz import NormSpec, rowwise_norm
 
 _RANK_TOL = 1e-10
 RESIDUAL_TOLERANCE = 1e-8
@@ -278,17 +278,17 @@ def _nearest_rows(
     exact = _basic_solutions(x, q, norm)
     d = _descent(x, q, norm, tol, max_sweeps) if exact is None else exact[0]
     nearest = _span_rows(d, q)
-    dists = [vector_norm(xi - ni, norm) for xi, ni in zip(x, nearest)]
+    dists = rowwise_norm(x - nearest, norm)
     if exact is not None:
         dual = exact[1]
-        loose = np.flatnonzero(np.array(dists) - dual > _GAP_TOL * dual + _ROUNDING * np.abs(x).sum(axis=1))
+        loose = np.flatnonzero(dists - dual > _GAP_TOL * dual + _ROUNDING * np.abs(x).sum(axis=1))
         if loose.size:
             # such a row keeps whichever of its two primal values is smaller
-            for i, point in zip(loose, _span_rows(_descent(x[loose], q, norm, tol, max_sweeps), q)):
-                dist = vector_norm(x[i] - point, norm)
-                if dist < dists[i]:
-                    dists[i], nearest[i] = dist, point
-    return dists, nearest
+            points = _span_rows(_descent(x[loose], q, norm, tol, max_sweeps), q)
+            alt = rowwise_norm(x[loose] - points, norm)
+            better = alt < dists[loose]
+            dists[loose[better]], nearest[loose[better]] = alt[better], points[better]
+    return dists.tolist(), nearest
 
 
 def nearest_in_span(
@@ -351,18 +351,15 @@ def _directional_gap_sampled(
 ) -> tuple[float, dict]:
     n, r = qa.shape
     rng = np.random.default_rng(seed)
-    best = -math.inf
-    best_witness: dict = {}
     starts = [qa[:, j] for j in range(r)]
     for _ in range(samples):
         starts.append(qa @ rng.standard_normal(r))
-    units = [raw / nrm for raw in starts if (nrm := vector_norm(raw, norm)) > 0]
-    dists, nearest = _nearest_rows(np.array(units), qb, norm)
-    for x, dist, point in zip(units, dists, nearest):
-        if dist > best:
-            best = dist
-            best_witness = {"x": x, "nearest": point}
-    return best, best_witness
+    raw = np.array(starts)
+    nrm = rowwise_norm(raw, norm)
+    units = raw[nrm > 0] / nrm[nrm > 0, None]
+    dists, nearest = _nearest_rows(units, qb, norm)
+    i = int(np.argmax(dists))
+    return dists[i], {"x": units[i], "nearest": nearest[i]}
 
 
 def opening(a: Subspace, b: Subspace, norm: NormSpec | None = None, samples: int = 64, seed: int = 0) -> OpeningReport:
@@ -456,8 +453,8 @@ def check_opening_condition(
     samples: int = 64,
     seed: int = 0,
 ) -> OpeningConditionReport:
-    """Aggregate the blockwise openings in the p-th power mean and
-    compare against the family's perturbation budget."""
+    """Aggregate the blockwise openings in the lp norm, the sup for
+    p = inf, and compare against the family's perturbation budget."""
     if not (p >= 1.0):
         raise ValueError("aggregation exponent must be >= 1")
     if len(candidates) != family.block_count:
@@ -468,7 +465,8 @@ def check_opening_condition(
     for b, cand in zip(family.blocks, candidates):
         rng = range_subspace(b, family.space)
         reports.append(opening(rng, cand, norm, samples=samples, seed=seed))
-    aggregate = float(np.sum(np.array([r.theta for r in reports]) ** p) ** (1.0 / p))
+    psi = NormSpec.max_norm() if math.isinf(p) else NormSpec.power(p)
+    aggregate = float(rowwise_norm(np.array([[r.theta for r in reports]]), psi)[0])
     thr = lambda_threshold(family, norm)
     return OpeningConditionReport(
         openings=tuple(reports),

@@ -228,6 +228,47 @@ def test_sampler_lands_on_unit_sphere():
             assert vector_norm(x, spec) == pytest.approx(1.0, abs=1e-9)
 
 
+SAMPLER_SPECS = {
+    "l3": NormSpec.power(3.0),
+    "max": NormSpec.max_norm(),
+    "exp:1": NormSpec.orlicz(OrliczFunction.scaled_exp(1.0)),
+    "pwl": NormSpec.orlicz(OrliczFunction.piecewise_linear([(0.0, 0.0), (0.5, 0.2), (1.0, 1.0), (2.0, 4.0)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_SPECS))
+def test_sampler_blocks_match_one_draw_at_a_time(name):
+    # 300 draws cross the block edges 8, 24, 56, 120 and 248; each equals
+    # the Gaussian draw divided by its vector_norm, to the last bit
+    spec = SAMPLER_SPECS[name]
+    rng = np.random.default_rng(11)
+    want = []
+    while len(want) < 300:
+        g = rng.standard_normal(5)
+        want.append(g / vector_norm(g, spec))
+    sampler = unit_sphere_sampler(spec, 5, 11)
+    for x in want:
+        np.testing.assert_array_equal(next(sampler), x)
+
+
+def test_sampler_solves_orlicz_norms_by_blocks(monkeypatch):
+    # 64 draws take blocks of 8, 16, 32 and 64 rows: four row solves, not 64
+    from schauderlab import orlicz
+
+    calls = []
+    original = orlicz._luxemburg_rows
+
+    def counting(phi, rows):
+        calls.append(len(rows))
+        return original(phi, rows)
+
+    monkeypatch.setattr(orlicz, "_luxemburg_rows", counting)
+    sampler = unit_sphere_sampler(SAMPLER_SPECS["exp:1"], 6, 3)
+    for _ in range(64):
+        next(sampler)
+    assert len(calls) <= 4, calls
+
+
 # ---------------------------------------------------------------------------
 # operator norms
 

@@ -179,6 +179,46 @@ def test_rowwise_matches_per_row():
         assert batch[i] == luxemburg_norm(phi, row)
 
 
+ONE_PATH_SPECS = {
+    "l1.5": NormSpec.power(1.5),
+    "l3": NormSpec.power(3.0),
+    "l10": NormSpec.power(10.0),
+    "power-gauge:1.5": NormSpec.orlicz(OrliczFunction.power(1.5)),
+    "power-gauge:3": NormSpec.orlicz(OrliczFunction.power(3.0)),
+    "max": NormSpec.max_norm(),
+    "exp:1": NormSpec.orlicz(OrliczFunction.scaled_exp(1.0)),
+    "pwl": NormSpec.orlicz(OrliczFunction.piecewise_linear([(0.0, 0.0), (0.5, 0.2), (1.0, 1.0), (2.0, 4.0)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PATH_SPECS))
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_vector_norm_is_its_row_bit_for_bit(name, dtype):
+    # one row kernel: a vector's norm is its row's in a batch, to the last bit
+    spec = ONE_PATH_SPECS[name]
+    rng = np.random.default_rng(17)
+    rows = rng.standard_normal((512, 7)) * rng.uniform(0.1, 10.0, (512, 1))
+    if dtype is complex:
+        rows = rows + 1j * rng.standard_normal((512, 7))
+    batch = rowwise_norm(rows, spec)
+    assert [vector_norm(row, spec) for row in rows] == batch.tolist()
+
+
+@pytest.mark.parametrize("name", ["l1", "l2", *sorted(ONE_PATH_SPECS)])
+def test_the_empty_vector_has_norm_zero(name):
+    spec = ONE_PATH_SPECS.get(name) or NormSpec.power(float(name[1:]))
+    assert vector_norm([], spec) == 0.0
+    np.testing.assert_array_equal(rowwise_norm(np.zeros((2, 0)), spec), [0.0, 0.0])
+
+
+def test_vector_norm_rejects_a_matrix():
+    for spec in (NormSpec.power(2.0), NormSpec.max_norm(), ONE_PATH_SPECS["exp:1"]):
+        with pytest.raises(ValueError):
+            vector_norm(np.ones((2, 3)), spec)
+        with pytest.raises(ValueError):
+            vector_norm(1.0, spec)
+
+
 # ---------------------------------------------------------------------------
 # the row kernel against an independent reference
 

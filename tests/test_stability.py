@@ -500,11 +500,8 @@ def test_line_search_cost_is_a_few_batched_rounds(name, monkeypatch):
         calls.append(len(rows))
         return original(rows, spec)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the line search made a per-probe vector_norm call")
-
     monkeypatch.setattr(stability, "rowwise_norm", counting)
-    monkeypatch.setattr(stability, "vector_norm", refuse)
+    assert not hasattr(stability, "vector_norm")
     t = _line_search(r, e0, np.ones(6), norm, 1e-10)
     assert len(calls) <= 14, calls
     got = original(r - t[:, None] * e0, norm)
@@ -702,6 +699,30 @@ def test_check_opening_condition_rejects_single_large_rotation():
     rep = check_opening_condition(fam, cands, p=2.0)
     assert not rep.satisfied
     assert rep.aggregate == pytest.approx(2.0 * lam, rel=1e-9)
+
+
+def test_check_opening_condition_aggregates_in_the_lp_norm_at_large_p():
+    # 0.0995**400 underflows: a raw power mean reads 0 and passes a
+    # pair of openings that is above the budget 1/16
+    space = ModelSpace(4, L2)
+    fam = make_coordinate_family(space, [2, 2])
+    cands = [rotated_block_subspace(space, 0, 2, 0.0995), rotated_block_subspace(space, 1, 0, 0.0499)]
+    rep = check_opening_condition(fam, cands, p=400.0)
+    assert rep.threshold.value == 0.0625
+    assert rep.aggregate == pytest.approx(0.0995, rel=1e-9)
+    assert not rep.satisfied
+
+
+def test_check_opening_condition_takes_the_sup_at_p_infinity():
+    space = ModelSpace(4, L2)
+    fam = make_coordinate_family(space, [2, 2])
+    cands = [rotated_block_subspace(space, 0, 2, 0.0995), rotated_block_subspace(space, 1, 0, 0.0499)]
+    rep = check_opening_condition(fam, cands, p=math.inf)
+    assert rep.aggregate == max(r.theta for r in rep.openings)
+    assert rep.aggregate == pytest.approx(0.0995, rel=1e-9)
+    assert not rep.satisfied
+    small = [rotated_block_subspace(space, 0, 2, 0.05), rotated_block_subspace(space, 1, 0, 0.06)]
+    assert check_opening_condition(fam, small, p=math.inf).satisfied
 
 
 def test_check_opening_condition_requires_matching_count():
@@ -968,11 +989,8 @@ def test_gamma_takes_image_norms_in_one_rowwise_call_per_batch(monkeypatch):
         calls.append(len(rows))
         return original(rows, spec)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("reduced_minimum_modulus made a vector_norm call")
-
     monkeypatch.setattr(stability, "rowwise_norm", counting)
-    monkeypatch.setattr(stability, "vector_norm", refuse)
+    assert not hasattr(stability, "vector_norm")
     est = reduced_minimum_modulus(t, norm, samples=24, seed=2)
     assert calls == [24]
     assert est.trials == 24
