@@ -107,10 +107,7 @@ def _render_text(result: dict) -> str:
 
 
 def _emit(args, command: str, result: object, *, csv_rows: tuple[list[str], list[list]] | None = None) -> None:
-    fmt = getattr(args, "format", "text")
-    if fmt == "csv":
-        if csv_rows is None:
-            raise DocumentError(f"command {command!r} has no CSV form")
+    if args.format == "csv":
         header, rows = csv_rows
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -118,7 +115,7 @@ def _emit(args, command: str, result: object, *, csv_rows: tuple[list[str], list
         for row in rows:
             writer.writerow(["" if v is None else (repr(v) if isinstance(v, float) else v) for v in row])
         text = buf.getvalue()
-    elif fmt == "json":
+    elif args.format == "json":
         # the raw report goes in; render_json converts it to JSON values once
         envelope = {
             "command": command,
@@ -128,8 +125,11 @@ def _emit(args, command: str, result: object, *, csv_rows: tuple[list[str], list
         text = render_json(envelope)
     else:
         text = _render_text(to_jsonable(result))
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text)
+    if args.output:
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise DocumentError(f"cannot write {args.output!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -361,12 +361,17 @@ def _cmd_sweep(args) -> None:
 # Parser
 
 
-def _add_common(sub: argparse.ArgumentParser, *, fmt: bool = True) -> None:
-    if fmt:
-        sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _add_common(
+    sub: argparse.ArgumentParser, *, formats: tuple[str, ...] = ("text", "json"), sampled: bool = False
+) -> None:
+    """--format (unless ``formats`` is empty) and --output, and --samples and
+    --seed for the commands that sample."""
+    if formats:
+        sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--output", default=None, help="write the report to this file instead of stdout")
-    sub.add_argument("--samples", type=int, default=256)
-    sub.add_argument("--seed", type=int, default=0)
+    if sampled:
+        sub.add_argument("--samples", type=int, default=256)
+        sub.add_argument("--seed", type=int, default=0)
 
 
 @functools.lru_cache(maxsize=1)
@@ -406,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="unconditionality and frame constants of a family")
     p.add_argument("--family", required=True, help="family document or @file")
     p.add_argument("--psi", default="power:2", help="aggregate norm spec")
-    _add_common(p)
+    _add_common(p, formats=("text", "json", "csv"), sampled=True)
     p.set_defaults(handler=_cmd_constants)
 
     p = sub.add_parser("type-cotype", help="two-sided block-norm sandwich check")
@@ -417,13 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lower", type=float, default=None)
     p.add_argument("--phi", default=None)
     p.add_argument("--upper", type=float, default=None)
-    _add_common(p)
+    _add_common(p, sampled=True)
     p.set_defaults(handler=_cmd_type_cotype)
 
     p = sub.add_parser("opening", help="two-sided opening between subspaces")
     p.add_argument("--pair", default=None, help="subspace pair document or @file")
     p.add_argument("--angle", type=float, default=None, help="angle in degrees between two lines in the plane")
-    _add_common(p)
+    _add_common(p, sampled=True)
     p.set_defaults(handler=_cmd_opening)
 
     p = sub.add_parser("lambda", help="perturbation budget of a family")
@@ -433,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sigma", help="aggregated perturbation size between two families")
     p.add_argument("--scenario", required=True, help="scenario document or @file")
-    _add_common(p)
+    _add_common(p, sampled=True)
     p.set_defaults(handler=_cmd_sigma)
 
     p = sub.add_parser("kato", help="selfadjoint-base stability check in the euclidean ambient")
@@ -443,13 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("similarity", help="general stability check and similarity construction")
     p.add_argument("--scenario", required=True)
-    _add_common(p)
+    _add_common(p, sampled=True)
     p.set_defaults(handler=_cmd_similarity)
 
     p = sub.add_parser("c0-check", help="stability check in the max-norm ambient")
     p.add_argument("--scenario", required=True)
     p.add_argument("--C", type=float, default=None, help="sup aggregate bound")
-    _add_common(p)
+    _add_common(p, sampled=True)
     p.set_defaults(handler=_cmd_c0_check)
 
     p = sub.add_parser("validate", help="defect report for a projection family")
@@ -462,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parameter", choices=tuple(_SWEEPS), required=True)
     p.add_argument("--grid", required=True, help="comma list or start:stop:count; write --grid=-1,2 for a leading minus")
     p.add_argument("--scenario", default=None)
-    _add_common(p, fmt=False)
+    _add_common(p, formats=(), sampled=True)
     p.set_defaults(handler=_cmd_sweep, format="csv")
 
     return parser

@@ -148,19 +148,15 @@ def make_coordinate_family(space: ModelSpace, block_sizes: Sequence[int]) -> Pro
     return ProjectionFamily(blocks, space)
 
 
-def validate_family(
-    family: ProjectionFamily,
-    tolerance: float | None = None,
-    *,
-    require_completeness: bool = True,
-) -> FamilyReport:
+def validate_family(family: ProjectionFamily, *, require_completeness: bool = True) -> FamilyReport:
     """Measure how far the family is from a true decomposition.
 
-    All defects are spectral norms.  ``require_completeness=False``
+    All defects are spectral norms, each compared with the tolerance
+    family.default_tolerance() = 1e-10 * N.  ``require_completeness=False``
     relaxes the verdict for families meant to span only part of the
     space; the completeness defect is still reported.
     """
-    tol = family.default_tolerance() if tolerance is None else float(tolerance)
+    tol = family.default_tolerance()
     blocks = family.blocks
     idem = spectral_norm(blocks @ blocks - blocks)
     # one row of products P_i P_j at a time: the full (K, K, N, N) stack

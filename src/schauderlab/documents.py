@@ -152,6 +152,8 @@ def family_from_doc(doc: dict) -> ProjectionFamily:
             raise DocumentError(f"bad coordinate blocks: {exc}") from exc
     if "blocks" not in doc:
         raise DocumentError("family document needs 'blocks' or 'coordinate_blocks'")
+    if not isinstance(doc["blocks"], list):
+        raise DocumentError(f"'blocks' must be a list of blocks, got {type(doc['blocks']).__name__}")
     blocks = []
     for i, flat in enumerate(doc["blocks"]):
         if isinstance(flat, dict):

@@ -23,6 +23,7 @@ from .kernel import (
     SAMPLED_UPPER_BOUND,
     SPECTRAL_EXACT,
     ConstantEstimate,
+    _check_samples,
     _span_rows,
     unit_sphere_sampler,
 )
@@ -182,8 +183,7 @@ def unconditional_constant(
     k = family.block_count
     if k > COEFFICIENT_BUDGET:
         raise BudgetError(f"{k} blocks exceed the coefficient enumeration budget ({COEFFICIENT_BUDGET})")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_samples(samples, 1)
     norm = family.space.norm
 
     if norm.power_exponent() == 2.0 and selfadjoint_defect(family) <= family.default_tolerance():
@@ -263,19 +263,13 @@ def _profile_ratio(family: ProjectionFamily, psi: NormSpec, x: np.ndarray) -> np
 
 
 # a refinement moves on a relative gain above _REL_GAIN and stops once its
-# step falls to _MIN_STEP
+# step falls to _MIN_STEP or after _MAX_ROUNDS rounds
 _REL_GAIN = 1e-8
 _MIN_STEP = 1e-9
+_MAX_ROUNDS = 200
 
 
-def _coordinate_refine(
-    fn,
-    x0: np.ndarray,
-    norm: NormSpec,
-    *,
-    maximize: bool,
-    max_rounds: int = 200,
-) -> tuple[np.ndarray, float]:
+def _coordinate_refine(fn, x0: np.ndarray, norm: NormSpec, *, maximize: bool) -> tuple[np.ndarray, float]:
     """Coordinate-wise perturbation climb on the unit sphere of ``norm``.
 
     ``fn`` maps a stack of vectors to one value per row.  A round scans
@@ -294,7 +288,7 @@ def _coordinate_refine(
     signs = np.tile([1.0, -1.0], n)  # scan position c moves coordinate c // 2
     h = 0.25
     rounds = 0
-    while h > _MIN_STEP and rounds < max_rounds:
+    while h > _MIN_STEP and rounds < _MAX_ROUNDS:
         rounds += 1
         improved = False
         start = 0
@@ -348,6 +342,7 @@ def hilbertian_constant(
     row-wise ratio call (see _coordinate_refine); ``trials`` is the sample
     count and the witness a unit vector whose ratio vector_norm replays.
     """
+    _check_samples(samples, 1)
     if family.space.norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:
         vals, vecs = _gram_eigh(family.blocks)
         value = 1.0 / math.sqrt(vals[0]) if vals[0] > 0 else math.inf
@@ -367,6 +362,7 @@ def besselian_constant(
     search of hilbertian_constant minimises the ratio it maximises, so the
     tag marks an upper bound on the true constant.
     """
+    _check_samples(samples, 1)
     if family.space.norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:
         vals, vecs = _gram_eigh(family.blocks)
         value = math.sqrt(max(float(vals[0]), 0.0))
@@ -530,6 +526,7 @@ def type_cotype_check(
     Margins are recorded per side; a violation is a margin below
     -1e-9 * (1 + ||x||).
     """
+    _check_samples(samples, 0)
     norm = family.space.norm
     labels, batch = _battery_matrix(family, samples, seed)
     ambient = rowwise_norm(batch, norm)
@@ -605,11 +602,11 @@ def or_type_probe(
     count = 0
     for idx, vectors in enumerate(vector_sets):
         count += 1
-        profile = np.array([vector_norm(v, norm) for v in vectors])
-        agg = luxemburg_norm(phi, profile)
+        x = _stack_vectors(vectors)
+        agg = luxemburg_norm(phi, rowwise_norm(x, norm))
         if agg <= 0:
             raise ValueError(f"set {idx} has a vanishing norm aggregate")
-        _, quad, lo, hi = _sign_stats(vectors, norm)
+        _, quad, lo, hi = _sign_stats(x, norm)
         quad /= agg
         mn = lo.value / agg
         mx = hi.value / agg

@@ -15,6 +15,8 @@ import numpy as np
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
+# invert_with_condition calls a matrix singular from this condition number on
+COND_LIMIT = 1e12
 
 # Method tags carried by ConstantEstimate.  Reports must never claim more
 # than the computation delivered, so the tag is part of the result.
@@ -94,10 +96,10 @@ def spectral_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2, axis=(-2, -1)).max())
 
 
-def invert_with_condition(matrix: np.ndarray, *, cond_limit: float = 1e12) -> InversionResult:
+def invert_with_condition(matrix: np.ndarray) -> InversionResult:
     """Inverse plus a spectral condition estimate.
 
-    A matrix whose condition number reaches ``cond_limit`` (or that is
+    A matrix whose condition number reaches COND_LIMIT = 1e12 (or that is
     exactly singular) yields an explicit singular result instead of an
     exception; callers decide whether that is an error.
     """
@@ -110,11 +112,18 @@ def invert_with_condition(matrix: np.ndarray, *, cond_limit: float = 1e12) -> In
     if smax == 0.0 or smin <= 0.0:
         return InversionResult(inverse=None, condition=math.inf, singular=True)
     condition = smax / smin
-    if condition >= cond_limit:
+    if condition >= COND_LIMIT:
         return InversionResult(inverse=None, condition=condition, singular=True)
     inv = np.linalg.solve(m, np.eye(m.shape[0], dtype=m.dtype))
     residual = spectral_norm(m @ inv - np.eye(m.shape[0]))
     return InversionResult(inverse=inv, condition=condition, singular=False, residual=residual)
+
+
+def _check_samples(samples: int, least: int) -> None:
+    """Refuse a sample count below ``least``: 1 where the samples are the
+    only candidates, 0 where the result stands without them."""
+    if samples < least:
+        raise ValueError(f"samples must be >= {least}, got {samples}")
 
 
 def _span_rows(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -163,6 +172,7 @@ def operator_norm(matrix: np.ndarray, norm: Any, *, samples: int = 64, seed: int
     n = m.shape[0]
     if not isinstance(norm, NormSpec):
         raise TypeError("norm must be a NormSpec")
+    _check_samples(samples, 0)
 
     p = norm.power_exponent()
     if p == 2.0:

@@ -416,10 +416,13 @@ def delta2_margin(phi: OrliczFunction, grid: Sequence[float] | np.ndarray) -> De
     )
 
 
-def divergence_witness(phi: OrliczFunction, threshold: float, *, max_doublings: int = 200) -> float:
-    """Smallest dyadic t = 2**k with phi(t) > threshold; checks growth."""
+_MAX_DOUBLINGS = 200
+
+
+def divergence_witness(phi: OrliczFunction, threshold: float) -> float:
+    """Smallest dyadic t = 2**k, k < _MAX_DOUBLINGS, with phi(t) > threshold."""
     t = 1.0
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         if float(phi.values(t)) > threshold:
             return t
         t *= 2.0

@@ -18,7 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import ProjectionFamily, Subspace, family_rank, range_subspace, selfadjoint_defect
+from .decomposition import (
+    RANK_REL_THRESHOLD, ProjectionFamily, Subspace, family_rank, range_subspace, selfadjoint_defect,
+)
 from .errors import ConvergenceError
 from .geometry import _block_profiles, _gram_eigh, _sampled_extremum, hilbertian_constant
 from .kernel import (
@@ -27,6 +29,7 @@ from .kernel import (
     SAMPLED_UPPER_BOUND,
     SPECTRAL_EXACT,
     ConstantEstimate,
+    _check_samples,
     _span_rows,
     invert_with_condition,
     operator_norm,
@@ -35,7 +38,6 @@ from .kernel import (
 )
 from .orlicz import NormSpec, rowwise_norm
 
-_RANK_TOL = 1e-10
 RESIDUAL_TOLERANCE = 1e-8
 MARGINAL_BAND = 1e-6
 
@@ -44,20 +46,25 @@ MARGINAL_BAND = 1e-6
 # Distance to a subspace in an arbitrary ambient norm
 
 
+# the descent stops its line searches and its sweeps at this relative
+# width, and after _MAX_SWEEPS sweeps at most
+_DESCENT_TOL = 1e-10
+_MAX_SWEEPS = 60
 # probe grids of the line search: geometric around 0 to bracket the
 # minimum, then the 15 inner points of a 16-interval split of the bracket
 _BRACKET_GRID = np.array([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0])
 _SHRINK_GRID = np.arange(1.0, 16.0) / 16.0
 
 
-def _line_search(r: np.ndarray, c: np.ndarray, step: np.ndarray, norm: NormSpec, tol: float) -> np.ndarray:
+def _line_search(r: np.ndarray, c: np.ndarray, step: np.ndarray, norm: NormSpec) -> np.ndarray:
     """Minimiser of the convex t -> ||r_i - t c|| for every row r_i.
 
     The probes step_i * _BRACKET_GRID bracket the minimum between the
     neighbours of the best one, the grid growing 16-fold while that is an
     end.  Each round then probes the bracket [a, b] at _SHRINK_GRID and
-    keeps the neighbours of the best probe, until b - a <= tol * (1 + |a|
-    + |b|); the best probe is returned.  A round is one rowwise_norm call.
+    keeps the neighbours of the best probe, until the width b - a is at
+    most _DESCENT_TOL (1 + |a| + |b|); the best probe is returned.  A
+    round is one rowwise_norm call.
     """
 
     def probe(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -80,7 +87,7 @@ def _line_search(r: np.ndarray, c: np.ndarray, step: np.ndarray, norm: NormSpec,
     best, a, b = t[rows, k], t[rows, np.maximum(k - 1, 0)], t[rows, np.minimum(k + 1, end)]
     live = rows
     while True:
-        live = live[b[live] - a[live] > tol * (1.0 + np.abs(a[live]) + np.abs(b[live]))]
+        live = live[b[live] - a[live] > _DESCENT_TOL * (1.0 + np.abs(a[live]) + np.abs(b[live]))]
         if not live.size:
             return best
         t = np.hstack([a[live, None], a[live, None] + (b - a)[live, None] * _SHRINK_GRID, b[live, None]])
@@ -89,7 +96,7 @@ def _line_search(r: np.ndarray, c: np.ndarray, step: np.ndarray, norm: NormSpec,
         best[live], a[live], b[live] = t[rows, k], t[rows, k - 1], t[rows, k + 1]
 
 
-def _descent(x: np.ndarray, q: np.ndarray, norm: NormSpec, tol: float, max_sweeps: int) -> np.ndarray:
+def _descent(x: np.ndarray, q: np.ndarray, norm: NormSpec) -> np.ndarray:
     """Coefficients of the coordinate descent behind nearest_in_span.
 
     Each row stops on its own and every step is elementwise or rowwise,
@@ -98,16 +105,16 @@ def _descent(x: np.ndarray, q: np.ndarray, norm: NormSpec, tol: float, max_sweep
     d = _span_rows(x, q.conj().T)  # the euclidean warm start q^H x
     parts = (1.0, 1.0j) if np.iscomplexobj(d) else (1.0,)
     live = np.arange(x.shape[0])
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         moved = np.zeros(live.size)
         for j in range(d.shape[1]):
             for unit in parts:
                 resid = x[live] - _span_rows(d[live], q)
                 step = np.maximum(0.25, 0.25 * np.abs(d[live, j]))
-                t = _line_search(resid, unit * q[:, j], step, norm, tol)
+                t = _line_search(resid, unit * q[:, j], step, norm)
                 d[live, j] += unit * t
                 moved = np.maximum(moved, np.abs(t))
-        live = live[moved > tol * (1.0 + np.abs(d[live]).max(axis=1, initial=0.0))]
+        live = live[moved > _DESCENT_TOL * (1.0 + np.abs(d[live]).max(axis=1, initial=0.0))]
         if not live.size:
             break
     return d
@@ -233,7 +240,7 @@ def _hyperplane(x: np.ndarray, q: np.ndarray, linf: bool) -> tuple[np.ndarray, n
     """
     n, r = q.shape
     u, s, vh = np.linalg.svd(q)
-    if s[-1] <= _RANK_TOL * s[0]:
+    if s[-1] <= RANK_REL_THRESHOLD * s[0]:
         return None
     a = u[:, r]
     dot = x @ a
@@ -265,9 +272,7 @@ def _basic_solutions(x: np.ndarray, q: np.ndarray, norm: NormSpec) -> tuple[np.n
     return _chebyshev(x, q) if chebyshev else _interpolation(x, q)
 
 
-def _nearest_rows(
-    x: np.ndarray, basis: np.ndarray, norm: NormSpec, tol: float = 1e-10, max_sweeps: int = 60
-) -> tuple[list[float], np.ndarray]:
+def _nearest_rows(x: np.ndarray, basis: np.ndarray, norm: NormSpec) -> tuple[list[float], np.ndarray]:
     """nearest_in_span of every row of x: the distances and the nearest points.
 
     Every step is elementwise or rowwise, or a solve per row, so a row's
@@ -276,7 +281,7 @@ def _nearest_rows(
     q = np.asarray(basis)
     x = np.asarray(x)
     exact = _basic_solutions(x, q, norm)
-    d = _descent(x, q, norm, tol, max_sweeps) if exact is None else exact[0]
+    d = _descent(x, q, norm) if exact is None else exact[0]
     nearest = _span_rows(d, q)
     dists = rowwise_norm(x - nearest, norm)
     if exact is not None:
@@ -284,16 +289,14 @@ def _nearest_rows(
         loose = np.flatnonzero(dists - dual > _GAP_TOL * dual + _ROUNDING * np.abs(x).sum(axis=1))
         if loose.size:
             # such a row keeps whichever of its two primal values is smaller
-            points = _span_rows(_descent(x[loose], q, norm, tol, max_sweeps), q)
+            points = _span_rows(_descent(x[loose], q, norm), q)
             alt = rowwise_norm(x[loose] - points, norm)
             better = alt < dists[loose]
             dists[loose[better]], nearest[loose[better]] = alt[better], points[better]
     return dists.tolist(), nearest
 
 
-def nearest_in_span(
-    x: np.ndarray, basis: np.ndarray, norm: NormSpec, *, tol: float = 1e-10, max_sweeps: int = 60
-) -> tuple[float, np.ndarray]:
+def nearest_in_span(x: np.ndarray, basis: np.ndarray, norm: NormSpec) -> tuple[float, np.ndarray]:
     """Distance from x to the column span of ``basis`` in ``norm``.
 
     For real data in the l1 and l-inf ambients the distance is a linear
@@ -311,15 +314,15 @@ def nearest_in_span(
     coordinate (in complex data its real and imaginary parts in turn)
     with a line search from the step max(0.25, 0.25 |d_j|): a geometric
     probe grid brackets the minimum, and 17-point grids shrink the
-    bracket [a, b] 8-fold per round until b - a <= tol * (1 + |a| + |b|).
-    Sweeps repeat, at most ``max_sweeps`` times, until no coordinate
-    moves by more than tol * (1 + max |d_j|).  Returns the distance, as
-    vector_norm(x - nearest), and the nearest point.
+    bracket [a, b] 8-fold per round until b - a <= tol * (1 + |a| + |b|),
+    with tol = _DESCENT_TOL = 1e-10.  Sweeps repeat, at most _MAX_SWEEPS =
+    60 times, until no coordinate moves by more than tol * (1 + max |d_j|).
+    Returns the distance, as vector_norm(x - nearest), and the nearest point.
 
     A one-row call into the batch solver behind openings and reduced
     moduli; each row of a batch gets exactly the result it gets here.
     """
-    dist, nearest = _nearest_rows(np.asarray(x)[None, :], basis, norm, tol, max_sweeps)
+    dist, nearest = _nearest_rows(np.asarray(x)[None, :], basis, norm)
     return dist[0], nearest[0]
 
 
@@ -374,13 +377,14 @@ def opening(a: Subspace, b: Subspace, norm: NormSpec | None = None, samples: int
     """
     if a.space.dim != b.space.dim:
         raise ValueError("subspaces live in different ambient dimensions")
+    _check_samples(samples, 0)
     ambient = norm if norm is not None else a.space.norm
     qa = a.orthonormal_basis
     qb = b.orthonormal_basis
 
     stacked = np.hstack([qa, qb])
     s = np.linalg.svd(stacked, compute_uv=False)
-    joint_rank = int(np.sum(s > _RANK_TOL * s[0]))
+    joint_rank = int(np.sum(s > RANK_REL_THRESHOLD * s[0]))
     if a.dim == b.dim == joint_rank:
         return OpeningReport(theta=0.0, direction_ab=0.0, direction_ba=0.0, method="equal-span-exact")
 
@@ -414,14 +418,14 @@ class ThresholdReport:
     method: str  # "exact" | "certified-lower-bound"
 
 
-def lambda_threshold(family: ProjectionFamily, norm: NormSpec | None = None) -> ThresholdReport:
+def lambda_threshold(family: ProjectionFamily) -> ThresholdReport:
     """Perturbation budget 1 / (4 * sup_n ||sum_{j<=n} P_j|| * (1 + sup_n ||P_n||)^2).
 
-    Operator norms are exact in the euclidean, sum and max ambients;
-    elsewhere their certified upper bounds make the threshold a
-    certified lower bound, which is the safe direction.
+    Operator norms, in the family's ambient, are exact in the euclidean,
+    sum and max ambients; elsewhere their certified upper bounds make the
+    threshold a certified lower bound, which is the safe direction.
     """
-    ambient = norm if norm is not None else family.space.norm
+    ambient = family.space.norm
     partial = [operator_norm(m, ambient) for m in np.cumsum(family.blocks, axis=0)]
     single = [operator_norm(b, ambient) for b in family.blocks]
     exact = all(est.method in (SPECTRAL_EXACT, EXACT_ENUMERATION) for est in partial + single)
@@ -449,7 +453,6 @@ def check_opening_condition(
     family: ProjectionFamily,
     candidates: Sequence[Subspace],
     p: float,
-    norm: NormSpec | None = None,
     samples: int = 64,
     seed: int = 0,
 ) -> OpeningConditionReport:
@@ -464,10 +467,10 @@ def check_opening_condition(
     reports = []
     for b, cand in zip(family.blocks, candidates):
         rng = range_subspace(b, family.space)
-        reports.append(opening(rng, cand, norm, samples=samples, seed=seed))
+        reports.append(opening(rng, cand, samples=samples, seed=seed))
     psi = NormSpec.max_norm() if math.isinf(p) else NormSpec.power(p)
     aggregate = float(rowwise_norm(np.array([[r.theta for r in reports]]), psi)[0])
-    thr = lambda_threshold(family, norm)
+    thr = lambda_threshold(family)
     return OpeningConditionReport(
         openings=tuple(reports),
         aggregate=aggregate,
@@ -498,6 +501,7 @@ def perturbation_sigma(
     """
     if p_family.dim != j_family.dim or p_family.block_count != j_family.block_count:
         raise ValueError("families must share dimension and block count")
+    _check_samples(samples, 1)
     norm = p_family.space.norm
     n = p_family.dim
     if p_family.block_count == 1:
@@ -692,10 +696,11 @@ def reduced_minimum_modulus(
     t = np.asarray(matrix)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("expected a square matrix")
+    _check_samples(samples, 1)
     u, s, vh = np.linalg.svd(t)
     if s[0] == 0:
         return None
-    rank = int(np.sum(s > _RANK_TOL * s[0]))
+    rank = int(np.sum(s > RANK_REL_THRESHOLD * s[0]))
     kernel = vh[rank:].conj().T  # shape (n, n - rank)
 
     if norm.power_exponent() == 2.0:

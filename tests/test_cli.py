@@ -105,6 +105,13 @@ def test_family_doc_coordinate_shorthand():
     np.testing.assert_array_equal(fam.blocks[0], np.diag([1.0, 1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("blocks", [5, "1,0,0,1", {"real": [1, 0, 0, 1]}, None])
+def test_family_doc_refuses_blocks_that_are_not_a_list(blocks):
+    doc = {"N": 2, "norm": {"variant": "power", "p": 2}, "blocks": blocks}
+    with pytest.raises(DocumentError, match="'blocks' must be a list"):
+        family_from_doc(doc)
+
+
 def test_parse_phi_spec_forms(tmp_path):
     assert parse_phi_spec("power:2") == OrliczFunction.power(2.0)
     assert parse_phi_spec("exp:1.5") == OrliczFunction.scaled_exp(1.5)
@@ -340,6 +347,75 @@ def test_output_flag_writes_file(tmp_path, capsys, family_file):
     assert rc == 0
     assert out == ""
     assert json.loads(target.read_text())["result"]["value"] == pytest.approx(0.0625)
+
+
+def test_unwritable_output_is_an_input_error(capsys, tmp_path):
+    target = tmp_path / "absent" / "x.txt"
+    rc, out, err = run_cli(capsys, "khintchine", "--p", "1.5", "--output", str(target))
+    assert rc == 2
+    assert err.startswith("error: cannot write")
+    assert "x.txt" in err
+    assert out == ""
+
+
+def test_sigma_refuses_zero_samples(capsys, tmp_path):
+    # l3 has no euclidean shortcut: at zero samples no candidate exists
+    fam = make_coordinate_family(ModelSpace(4, NormSpec.power(3.0)), [2, 2])
+    doc = {"P": family_to_doc(fam), "J": {"transport_of_P": {"epsilon": 0.05, "seed": 1}}, "psi": {"variant": "max"}}
+    path = tmp_path / "l3.json"
+    path.write_text(render_json(doc))
+    for samples in ("0", "-3"):
+        rc, out, err = run_cli(capsys, "sigma", "--scenario", f"@{path}", "--samples", samples)
+        assert rc == 2
+        assert err.startswith("error: samples must be >= 1")
+        assert out == ""
+
+
+# the least arguments each command parses with; documents are not read
+PARSE_ARGS = {
+    "norm": ["--phi", "power:2", "--x", "3,4"],
+    "delta2": ["--phi", "power:2", "--dyadic", "4"],
+    "khintchine": ["--p", "1.5"],
+    "rademacher": ["--vectors", "@v.json"],
+    "constants": ["--family", "@f.json"],
+    "type-cotype": ["--family", "@f.json", "--lp", "2"],
+    "opening": ["--angle", "30"],
+    "lambda": ["--family", "@f.json"],
+    "sigma": ["--scenario", "@s.json"],
+    "kato": ["--scenario", "@s.json"],
+    "similarity": ["--scenario", "@s.json"],
+    "c0-check": ["--scenario", "@s.json"],
+    "validate": ["--family", "@f.json"],
+    "sweep": ["--parameter", "p", "--grid", "1,2"],
+}
+SAMPLING_COMMANDS = {"constants", "type-cotype", "opening", "sigma", "similarity", "c0-check", "sweep"}
+
+
+@pytest.mark.parametrize("command", sorted(PARSE_ARGS))
+def test_only_sampling_commands_take_samples_and_seed(capsys, command):
+    argv = [command, *PARSE_ARGS[command], "--samples", "8", "--seed", "1"]
+    if command in SAMPLING_COMMANDS:
+        args = cli.build_parser().parse_args(argv)
+        assert (args.samples, args.seed) == (8, 1)
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples 8 --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(PARSE_ARGS))
+def test_only_constants_has_a_csv_form(capsys, command):
+    argv = [command, *PARSE_ARGS[command], "--format", "csv"]
+    if command == "constants":
+        assert cli.build_parser().parse_args(argv).format == "csv"
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    # sweep has no --format and writes CSV
+    assert cli.build_parser().parse_args(argv[:-2]).format == ("csv" if command == "sweep" else "text")
 
 
 # ---------------------------------------------------------------------------

@@ -496,15 +496,17 @@ def sigma_objective(p_family, j_family, psi):
     return captured[0]
 
 
-def check_refine_matches_sequential(fn, x0, norm, maximize, **kw):
+def check_refine_matches_sequential(fn, x0, norm, maximize):
     calls = []
 
     def counting(rows):
         calls.append(len(rows))
         return fn(rows)
 
-    x, best = geometry._coordinate_refine(counting, x0, norm, maximize=maximize, **kw)
-    rx, rbest, rounds, moves, last_moves = sequential_refine(fn, x0, norm, maximize=maximize, **kw)
+    x, best = geometry._coordinate_refine(counting, x0, norm, maximize=maximize)
+    rx, rbest, rounds, moves, last_moves = sequential_refine(
+        fn, x0, norm, maximize=maximize, max_rounds=geometry._MAX_ROUNDS
+    )
     assert np.array_equal(x, rx) and best == rbest
     # one call to start, one per round, one after each move that leaves candidates
     assert len(calls) == 1 + rounds + moves - last_moves <= 1 + rounds + moves
@@ -513,26 +515,28 @@ def check_refine_matches_sequential(fn, x0, norm, maximize, **kw):
 
 @pytest.mark.parametrize("maximize", [True, False], ids=["max", "min"])
 @pytest.mark.parametrize("ambient", sorted(REFINE_AMBIENTS))
-def test_batched_refine_follows_the_sequential_trajectory(ambient, maximize):
+def test_batched_refine_follows_the_sequential_trajectory(ambient, maximize, monkeypatch):
     # bit for bit the same point and value, after the same moves; the
     # rounds are capped because the one-row reference is slow in Orlicz norms
+    monkeypatch.setattr(geometry, "_MAX_ROUNDS", 24)
     norm = REFINE_AMBIENTS[ambient]
     fam = transported(3, "real", norm, seed=len(ambient))
     for i, (name, psi) in enumerate(sorted(REFINE_PSIS.items())):
         x0 = next(unit_sphere_sampler(norm, fam.dim, seed=i))
         moves = check_refine_matches_sequential(
-            lambda rows: geometry._profile_ratio(fam, psi, rows), x0, norm, maximize, max_rounds=24
+            lambda rows: geometry._profile_ratio(fam, psi, rows), x0, norm, maximize
         )
         assert moves > 0, name
 
 
 @pytest.mark.parametrize("ambient", ["l3", "exp:1", "pwl"])
-def test_batched_refine_follows_the_sequential_trajectory_for_sigma(ambient):
+def test_batched_refine_follows_the_sequential_trajectory_for_sigma(ambient, monkeypatch):
+    monkeypatch.setattr(geometry, "_MAX_ROUNDS", 24)
     norm = REFINE_AMBIENTS[ambient]
     p_family = make_coordinate_family(ModelSpace(6, norm), [2, 2, 2])
     fn = sigma_objective(p_family, transported(3, "real", norm, seed=4), REFINE_PSIS["l3"])
     x0 = next(unit_sphere_sampler(norm, 6, seed=3))
-    assert check_refine_matches_sequential(fn, x0, norm, True, max_rounds=24) > 0
+    assert check_refine_matches_sequential(fn, x0, norm, True) > 0
 
 
 @pytest.mark.parametrize("scalars", ["real", "complex"])
@@ -862,8 +866,9 @@ def test_sign_extremes_keep_the_first_witness_across_chunks():
 
 
 def test_or_type_probe_enumerates_each_set_once(monkeypatch):
-    # the quadratic mean and both sign extremes come from one pass over
-    # the 2^(n-1) patterns with a last sign of +1
+    # per set, one call takes the n vector norms, and the quadratic mean
+    # and both sign extremes come from one pass over the 2^(n-1) patterns
+    # with a last sign of +1
     rows = []
     original = geometry.rowwise_norm
 
@@ -876,7 +881,35 @@ def test_or_type_probe_enumerates_each_set_once(monkeypatch):
     sets = [[rng.standard_normal(5) for _ in range(n)] for n in (3, 6, 9)]
     rep = or_type_probe(sets, OrliczFunction.scaled_exp(1.0), NormSpec.power(3.0))
     assert rep.sets_tested == 3
-    assert sum(rows) == 2**2 + 2**5 + 2**8
+    assert rows == [3, 2**2, 6, 2**5, 9, 2**8]
+
+
+@pytest.mark.parametrize("ambient", ["l3", "exp", "pwl"])
+def test_or_type_probe_equals_the_per_vector_report(ambient, monkeypatch):
+    # the profile norms of a set come from one rowwise_norm call on the
+    # stacked vectors, and equal one vector_norm call per vector bit for bit
+    norm = NormSpec.power(3.0) if ambient == "l3" else BRUTE_NORMS[ambient]
+    phi = OrliczFunction.scaled_exp(1.0)
+    rng = np.random.default_rng(12)
+    sets = [[rng.standard_normal(5) * 10.0 ** rng.uniform(-3, 3) for _ in range(n)] for n in (2, 4, 7, 3)]
+    ratios = []
+    for vectors in sets:
+        agg = orlicz.luxemburg_norm(phi, np.array([vector_norm(v, norm) for v in vectors]))
+        _, quad, lo, hi = geometry._sign_stats(vectors, norm)
+        ratios.append((quad / agg, lo.value / agg, hi.value / agg))
+    quad, mn, mx = (np.array(r) for r in zip(*ratios))
+
+    def refuse(*args):
+        raise AssertionError("or_type_probe called vector_norm")
+
+    monkeypatch.setattr(geometry, "vector_norm", refuse)
+    rep = or_type_probe(sets, phi, norm, candidate_upper=float(np.median(quad)))
+    line = geometry.ProbeLine
+    assert rep.quad_over_agg_max == line(float(quad.max()), int(quad.argmax()))
+    assert rep.quad_over_agg_min == line(float(quad.min()), int(quad.argmin()))
+    assert rep.min_sign_over_agg_max == line(float(mn.max()), int(mn.argmax()))
+    assert rep.max_sign_over_agg_min == line(float(mx.min()), int(mx.argmin()))
+    assert rep.candidate_violations == tuple(np.flatnonzero(quad > np.median(quad) * (1.0 + 1e-9)))
 
 
 def test_or_type_probe_rejects_zero_set():

@@ -15,7 +15,8 @@ from schauderlab.decomposition import (
     transport_family,
 )
 from schauderlab.errors import ConvergenceError
-from schauderlab.kernel import SAMPLED_LOWER_BOUND, SAMPLED_UPPER_BOUND, SPECTRAL_EXACT
+from schauderlab.geometry import besselian_constant, hilbertian_constant, type_cotype_check, unconditional_constant
+from schauderlab.kernel import SAMPLED_LOWER_BOUND, SAMPLED_UPPER_BOUND, SPECTRAL_EXACT, operator_norm
 from schauderlab.orlicz import NormSpec, OrliczFunction, vector_norm
 from schauderlab.stability import (
     _line_search,
@@ -179,17 +180,18 @@ DESCENT_CASES = [
 
 
 @pytest.mark.parametrize("name, complex_data", DESCENT_CASES)
-def test_nearest_matches_reference_descent(name, complex_data):
+def test_nearest_matches_reference_descent(name, complex_data, monkeypatch):
     # a sweep in an Orlicz norm costs the scalar reference up to a second
     # on complex data, and some descents take dozens; both sides stop
     # after the same number of sweeps, so their paths stay comparable
     sweeps = 3 if complex_data else 6
+    monkeypatch.setattr(stability, "_MAX_SWEEPS", sweeps)
     norm = DISTANCE_NORMS[name]
     rng = np.random.default_rng(sorted(DISTANCE_NORMS).index(name) + 10 * complex_data)
     for n in (8, 12, 16):
         for r in (1, 2, 3):
             x, q = distance_case(rng, n, r, complex_data)
-            got, point = nearest_in_span(x, q, norm, max_sweeps=sweeps)
+            got, point = nearest_in_span(x, q, norm)
             want = reference_nearest(x, q, norm, max_sweeps=sweeps)
             assert abs(got - want) <= 1e-6 * want, (n, r, got, want)
             assert got == vector_norm(x - point, norm)
@@ -367,23 +369,24 @@ def test_descent_serves_complex_and_over_budget_distances(norm, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(stability, "_line_search", counting)
+    monkeypatch.setattr(stability, "_MAX_SWEEPS", 1)
     rng = np.random.default_rng(7)
     x, q = distance_case(rng, 8, 2, False)
     nearest_in_span(x, q, norm)
     assert not calls
     x, q = distance_case(rng, 8, 2, True)
-    nearest_in_span(x, q, norm, max_sweeps=1)
+    nearest_in_span(x, q, norm)
     assert calls
     calls.clear()
     # both enumerations of a 4-dimensional span in 40 coordinates exceed
     # BASIC_SOLUTION_BUDGET
     x, q = distance_case(rng, 40, 4, False)
     assert math.comb(40, 4) * (40 * 4 + 16 * 5) > stability.BASIC_SOLUTION_BUDGET
-    nearest_in_span(x, q, norm, max_sweeps=1)
+    nearest_in_span(x, q, norm)
     assert calls
     calls.clear()
     # a basis of deficient rank has no basic solutions
-    nearest_in_span(x[:8], np.column_stack([q[:8, 0], q[:8, 0]]), norm, max_sweeps=1)
+    nearest_in_span(x[:8], np.column_stack([q[:8, 0], q[:8, 0]]), norm)
     assert calls
 
 
@@ -468,15 +471,15 @@ def test_over_budget_enumerations_build_nothing(norm, n, r, monkeypatch):
 
 @pytest.mark.parametrize("complex_data", [False, True])
 @pytest.mark.parametrize("name", sorted(DISTANCE_NORMS))
-def test_nearest_rows_are_batch_invariant(name, complex_data):
+def test_nearest_rows_are_batch_invariant(name, complex_data, monkeypatch):
     norm = DISTANCE_NORMS[name]
     rng = np.random.default_rng(7)
     _, q = distance_case(rng, 8, 2, complex_data)
     rows = np.array([distance_case(rng, 8, 1, complex_data)[0] for _ in range(5)])
-    sweeps = 3 if complex_data else 6
-    dists, points = _nearest_rows(rows, q, norm, 1e-10, sweeps)
+    monkeypatch.setattr(stability, "_MAX_SWEEPS", 3 if complex_data else 6)
+    dists, points = _nearest_rows(rows, q, norm)
     for x, dist, point in zip(rows, dists, points):
-        alone, alone_point = nearest_in_span(x, q, norm, max_sweeps=sweeps)
+        alone, alone_point = nearest_in_span(x, q, norm)
         assert dist == alone
         assert np.array_equal(point, alone_point)
 
@@ -502,7 +505,7 @@ def test_line_search_cost_is_a_few_batched_rounds(name, monkeypatch):
 
     monkeypatch.setattr(stability, "rowwise_norm", counting)
     assert not hasattr(stability, "vector_norm")
-    t = _line_search(r, e0, np.ones(6), norm, 1e-10)
+    t = _line_search(r, e0, np.ones(6), norm)
     assert len(calls) <= 14, calls
     got = original(r - t[:, None] * e0, norm)
     # the bracket ends within about 1e-10 of the minimiser, and |f'| <= ||e_0|| = 1
@@ -512,7 +515,7 @@ def test_line_search_cost_is_a_few_batched_rounds(name, monkeypatch):
 def test_line_search_grows_the_bracket_to_a_far_minimum():
     r = np.array([[300.0, 1.0], [-0.01, 2.0], [-5000.0, 0.0]])
     e0 = np.array([1.0, 0.0])
-    t = _line_search(r, e0, np.full(3, 0.25), L1, 1e-10)
+    t = _line_search(r, e0, np.full(3, 0.25), L1)
     np.testing.assert_allclose(t, r[:, 0], rtol=1e-9)
 
 
@@ -996,3 +999,47 @@ def test_gamma_takes_image_norms_in_one_rowwise_call_per_batch(monkeypatch):
     assert est.trials == 24
     assert est.value == pytest.approx(min(ratios), rel=1e-14)
     assert np.array_equal(est.witness, draws[int(np.argmin(ratios))])
+
+
+# ---------------------------------------------------------------------------
+# sample counts
+
+
+def sampled_calls(norm):
+    """Every sampled entry point on a small family in ``norm``, with the
+    least sample count it accepts: 1 where the samples are its only
+    candidates, 0 where its result stands without them."""
+    space = ModelSpace(4, norm)
+    fam = make_coordinate_family(space, [2, 2])
+    moved = transport_family(np.eye(4) + 0.05 * np.random.default_rng(1).standard_normal((4, 4)), fam)
+    sup = make_coordinate_family(ModelSpace(4, NormSpec.max_norm()), [2, 2])
+    sup_moved = transport_family(np.eye(4) + 0.01 * np.random.default_rng(2).standard_normal((4, 4)), sup)
+    a, b = Subspace(np.eye(4)[:, :2], space), Subspace(moved.blocks[0][:, :2], space)
+    return {
+        "hilbertian_constant": (1, lambda s: hilbertian_constant(fam, L2, samples=s)),
+        "besselian_constant": (1, lambda s: besselian_constant(fam, L2, samples=s)),
+        "unconditional_constant": (1, lambda s: unconditional_constant(fam, "signs", samples=s)),
+        "perturbation_sigma": (1, lambda s: perturbation_sigma(fam, moved, L2, samples=s)),
+        "orlicz_stability_check": (1, lambda s: orlicz_stability_check(fam, moved, L2, samples=s)),
+        "orlicz_stability_check/supplied": (1, lambda s: orlicz_stability_check(fam, moved, L2, 2.0, samples=s)),
+        "c0_stability_check": (1, lambda s: c0_stability_check(sup, sup_moved, 1.0, samples=s)),
+        "reduced_minimum_modulus": (1, lambda s: reduced_minimum_modulus(np.eye(4) - fam.blocks[0], norm, samples=s)),
+        "opening": (0, lambda s: opening(a, b, samples=s)),
+        "check_opening_condition": (0, lambda s: check_opening_condition(fam, [a, b], 2.0, samples=s)),
+        "operator_norm": (0, lambda s: operator_norm(moved.blocks[0], norm, samples=s)),
+        "type_cotype_check": (0, lambda s: type_cotype_check(fam, L2, 0.5, L2, 2.0, samples=s)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(sampled_calls(L2)))
+@pytest.mark.parametrize("ambient", ["l2", "l3"])
+def test_sample_counts_follow_one_rule(ambient, name):
+    # a negative count is refused everywhere, and zero wherever no other
+    # candidate exists, before any euclidean shortcut could hide it
+    least, call = sampled_calls({"l2": L2, "l3": NormSpec.power(3.0)}[ambient])[name]
+    with pytest.raises(ValueError, match="samples must be >= "):
+        call(-1)
+    if least == 1:
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            call(0)
+    call(least)
