@@ -27,7 +27,9 @@ from .kernel import (
     _span_rows,
     unit_sphere_sampler,
 )
-from .orlicz import NormSpec, OrliczFunction, _extreme_rows, luxemburg_norm, rowwise_norm, vector_norm
+# vector_norm is bound here, though no function calls it, so that a spy on
+# geometry.vector_norm catches any call a later change brings back
+from .orlicz import _NORMAL_MIN, NormSpec, OrliczFunction, _extreme_rows, luxemburg_norm, rowwise_norm, vector_norm
 
 SIGN_BUDGET = 24
 COEFFICIENT_BUDGET = 20
@@ -44,11 +46,15 @@ _CHUNK = 1 << 13
 
 def _bit_chunks(k: int, lo: int, hi: int) -> Iterator[np.ndarray]:
     """Rows of bit j of each index lo..hi-1 in column j, as floats, in
-    chunks of _CHUNK consecutive indices from lo."""
-    cols = np.arange(k, dtype=np.int64)
+    chunks of _CHUNK consecutive indices from lo.
+
+    The bits are unpacked from the little-endian bytes of each index, so
+    indices must lie below 2^32; both enumeration budgets keep them below
+    2^24.
+    """
     for start in range(lo, hi, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
-        yield ((idx[:, None] >> cols) & 1).astype(float)
+        idx = np.arange(start, min(start + _CHUNK, hi), dtype="<u4")
+        yield np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1, count=k, bitorder="little").astype(float)
 
 
 def _sign_chunks(n: int) -> Iterator[np.ndarray]:
@@ -59,7 +65,15 @@ def _sign_chunks(n: int) -> Iterator[np.ndarray]:
     """
     half = 1 << (n - 1)
     for bits in _bit_chunks(n, half, 2 * half):
-        yield bits * 2.0 - 1.0
+        bits *= 2.0
+        bits -= 1.0
+        yield bits
+
+
+def _sign_norms(x: np.ndarray, norm: NormSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each chunk of _sign_chunks(len(x)) with the norms of its sums of signed rows of x."""
+    for signs in _sign_chunks(x.shape[0]):
+        yield signs, rowwise_norm(signs @ x, norm)
 
 
 def _stack_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -82,26 +96,32 @@ def _sign_stats(
     The means run over all 2^n patterns and the extremes are exact over
     them, with ``trials`` = 2^n.  By the symmetry eps -> -eps only the
     2^(n-1) patterns with a last sign of +1 are evaluated; an extreme's
-    witness is the first of those reaching it.
+    witness is the first of those reaching it.  When the mean square
+    overflows, or falls below the normal range, while a norm is positive,
+    a second pass sums the squares relative to the largest norm.
     """
     x = _stack_vectors(vectors)
     n = x.shape[0]
     sum1 = sum2 = 0.0
     lo, hi = (math.inf, None), (-math.inf, None)
-    for signs in _sign_chunks(n):
-        norms = rowwise_norm(signs @ x, norm)
+    for signs, norms in _sign_norms(x, norm):
         sum1 += float(np.sum(norms))
-        sum2 += float(np.sum(norms**2))
+        with np.errstate(over="ignore"):  # an overflow takes the rescaled route below
+            sum2 += float(np.sum(norms**2))
         i, k = int(np.argmin(norms)), int(np.argmax(norms))
         if norms[i] < lo[0]:
             lo = (float(norms[i]), signs[i].copy())
         if norms[k] > hi[0]:
             hi = (float(norms[k]), signs[k].copy())
     half = 1 << (n - 1)
+    quad = math.sqrt(sum2 / half)
+    if not _NORMAL_MIN <= sum2 / half < math.inf and hi[0] > 0.0:
+        top = hi[0]
+        quad = top * math.sqrt(sum(float(np.sum((norms / top) ** 2)) for _, norms in _sign_norms(x, norm)) / half)
     lo_est, hi_est = (
         ConstantEstimate(value=v, method=EXACT_ENUMERATION, witness={"signs": w}, trials=1 << n) for v, w in (lo, hi)
     )
-    return sum1 / half, math.sqrt(sum2 / half), lo_est, hi_est
+    return sum1 / half, quad, lo_est, hi_est
 
 
 def rademacher_average(vectors: Sequence[np.ndarray], norm: NormSpec, power: int = 1) -> float:
@@ -192,13 +212,12 @@ def unconditional_constant(
         return ConstantEstimate(value=1.0, method=SPECTRAL_EXACT, witness=witness, trials=0)
 
     chunks = list(_coefficient_chunks(coefficient_set, k))
-    sampler = unit_sphere_sampler(norm, family.dim, seed)
+    xs = list(itertools.islice(unit_sphere_sampler(norm, family.dim, seed), samples))
+    tuples = [family.blocks @ x for x in xs]
+    denoms = rowwise_norm(np.array([t.sum(axis=0) for t in tuples]), norm)
     best = -math.inf
     best_witness = None
-    for _ in range(samples):
-        x = next(sampler)
-        tuple_rows = family.blocks @ x
-        denom = vector_norm(tuple_rows.sum(axis=0), norm)
+    for x, tuple_rows, denom in zip(xs, tuples, denoms):
         if denom <= 0:
             continue
         for coeffs in chunks:

@@ -9,14 +9,17 @@ sum(phi(|a_n| / rho)) <= 1.
 
 One row kernel (_row_norms) computes every ambient norm in the package:
 the closed form for norms that are exactly lp norms, power gauges
-included, the largest entry for max, and otherwise one Luxemburg solver,
-a bracketed, safeguarded Newton iteration in 1/rho that returns the
-feasible end of a bracket no wider than 1e-12 * (1 + rho).  Rows are
-independent, so a vector's norm equals its row's in any batch bit for bit.
+included, evaluated over cache-sized row blocks, the largest entry for
+max, and otherwise one Luxemburg solver, a bracketed, safeguarded Newton
+iteration in 1/rho that returns the feasible end of a bracket no wider
+than 1e-12 * (1 + rho).  Rows are independent, so a vector's norm equals
+its row's in any batch bit for bit.
 
 The extremes over many rows that the enumerations in geometry take
-(unconditional constants, extreme sign norms) solve only the rows whose
-closed-form convexity bounds can reach the extreme (_extreme_rows).
+(unconditional constants, extreme sign norms) solve only the rows that
+can reach the extreme (_extreme_rows): for a Luxemburg norm those whose
+closed-form convexity bounds reach it, for an lp norm with an integer
+p >= 3 those whose p-th power sums, taken by products, come near it.
 """
 from __future__ import annotations
 
@@ -193,13 +196,34 @@ def luxemburg_norm(phi: OrliczFunction, x: Sequence[float] | np.ndarray) -> floa
 
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
+# entries per row block of the closed forms.  A block's 64 KiB temporaries
+# stay in cache and below glibc's default 128 KiB mmap threshold; blocks of
+# 2^15 entries took thousands of page faults per enumeration op, and whole
+# stacks of 2^K rows are larger still
+_BLOCK = 1 << 13
+
+
+def _by_blocks(fn, m: np.ndarray) -> np.ndarray:
+    """fn applied to consecutive row blocks of a matrix, concatenated.
+
+    fn must treat rows independently, so the result is fn(m) bit for bit.
+    """
+    step = max(1, _BLOCK // max(1, m.shape[1]))
+    if m.shape[0] <= step:
+        return fn(m)
+    return np.concatenate([fn(m[i:i + step]) for i in range(0, m.shape[0], step)])
+
 
 def _lp_norms(m: np.ndarray, p: float) -> np.ndarray:
-    """lp norm of every row of a matrix, in closed form.
+    """lp norm of every row of a matrix, in closed form, by row blocks.
 
     A row whose sum of p-th powers overflows, or underflows below the
     normal range, is divided by its largest entry first.
     """
+    return _by_blocks(lambda b: _lp_block(b, p), m)
+
+
+def _lp_block(m: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
         return np.abs(m).sum(axis=1)
     with np.errstate(over="ignore", under="ignore"):
@@ -216,6 +240,30 @@ def _lp_norms(m: np.ndarray, p: float) -> np.ndarray:
             top[top == 0.0] = 1.0  # zero rows stay zero
             out[bad] = top * ((a / top[:, None]) ** p).sum(axis=1) ** (1.0 / p)
     return out
+
+
+def _power_sums(m: np.ndarray, k: int) -> np.ndarray:
+    """Sum of |a|^k over every row of a matrix, for an integer k >= 1, by
+    products instead of pow, in row blocks and in any order of summation.
+
+    Where nothing overflows or underflows its relative error is at most
+    (k - 1 + n) eps for n entries per row, which covers the rounding of |a|,
+    of the k - 1 products and of the n - 1 additions.
+    """
+    ones = np.ones(m.shape[1])
+
+    def block(b: np.ndarray) -> np.ndarray:
+        a, power, e = np.abs(b).astype(float, copy=False), None, k
+        while True:  # square and multiply
+            if e & 1:
+                power = a if power is None else power * a
+            e >>= 1
+            if not e:
+                return power @ ones
+            a = a * a
+
+    with np.errstate(over="ignore", under="ignore"):
+        return _by_blocks(block, m)
 
 
 def vector_norm(x: Sequence[float] | np.ndarray, spec: NormSpec) -> float:
@@ -334,7 +382,8 @@ def _luxemburg_bounds(phi: OrliczFunction, a: np.ndarray) -> tuple[np.ndarray, n
 # solver's bracket, which is absolute for tiny norms, and a relative margin
 # above the rounding of the bounds and of long row sums (about n * eps).
 # Either keeps a pruned row's quotient by a shared denominator below the
-# extreme's, so no tie is lost
+# extreme's, so no tie is lost.  Closed-form lp norms are relative to the
+# last bits, so their power sums need only the relative margin
 _PRUNE_REL = 1e-9
 _PRUNE_ABS = 2.0 * ABS_TOL
 
@@ -343,16 +392,23 @@ def _extreme_rows(rows: np.ndarray, spec: NormSpec, maximize: bool) -> tuple[np.
     """Every row that can attain the largest (or smallest) norm: their
     indices, ascending, and their norms, equal to rowwise_norm(rows)[idx].
 
-    Closed-form norms return every row.  For a Luxemburg norm only the rows
-    whose _luxemburg_bounds reach the best opposite bound, within the
-    _PRUNE_REL guard, are solved, through rowwise_norm.  Rows are solved
-    independently of each other, so the first extreme of the returned norms
-    is the first extreme of all rows.
+    Only the rows that can reach the extreme, within the _PRUNE_REL guard,
+    are solved, through rowwise_norm.  For a Luxemburg norm these are the
+    rows whose _luxemburg_bounds reach the best opposite bound.  For an lp
+    norm with an integer p >= 3 they are the rows whose _power_sums lie
+    within the guard of the extreme sum (_power_candidates).  Every
+    other closed form (p in {1, 2}, p not an integer, max) returns every
+    row.  Rows are solved independently of each other, so the first
+    extreme of the returned norms is the first extreme of all rows.
     """
     m = np.asarray(rows)
     if m.ndim != 2:
         raise ValueError("expected a matrix")
-    if spec.variant != "orlicz" or spec.power_exponent() is not None or m.size == 0:
+    p = spec.power_exponent()
+    if p is not None and p >= 3.0 and p.is_integer() and m.size:
+        idx = _power_candidates(_power_sums(m, int(p)), maximize)
+        return idx, rowwise_norm(m[idx], spec)
+    if spec.variant != "orlicz" or p is not None or m.size == 0:
         return np.arange(m.shape[0]), rowwise_norm(m, spec)
     a = np.abs(m)
     if not np.all(np.isfinite(a)):
@@ -364,6 +420,24 @@ def _extreme_rows(rows: np.ndarray, spec: NormSpec, maximize: bool) -> tuple[np.
     guard = _PRUNE_REL * edge + _PRUNE_ABS * (1.0 + edge)
     idx = np.flatnonzero(upper >= edge - guard if maximize else lower <= edge + guard)
     return idx, rowwise_norm(m[idx], spec)
+
+
+def _power_candidates(s: np.ndarray, maximize: bool) -> np.ndarray:
+    """Indices, ascending, of the rows whose power sum s can reach the extreme.
+
+    A normal sum is within far less than _PRUNE_REL of the exact one.  A
+    zero sum means every term underflowed, so the exact sum lies below
+    any normal one; as the extreme it is 0, which keeps every zero sum
+    (and, as the largest, every row).  A sum that is not finite, or
+    positive but below the normal range, says nothing: its row is kept.
+    """
+    sure = (s < np.inf) & ((s >= _NORMAL_MIN) | (s == 0.0))
+    if not np.count_nonzero(sure):
+        return np.arange(s.size)
+    edge = float(s[sure].max() if maximize else s[sure].min())
+    with np.errstate(over="ignore"):
+        near = s >= edge * (1.0 - _PRUNE_REL) if maximize else s <= edge * (1.0 + _PRUNE_REL)
+    return np.flatnonzero(near | ~sure)
 
 
 @dataclass(frozen=True)

@@ -259,6 +259,19 @@ def test_rademacher_command(capsys, tmp_path):
     assert res["max"]["trials"] == 4
 
 
+def test_rademacher_command_survives_huge_vectors(capsys, tmp_path):
+    # the squared l3 norms overflow; the quadratic mean scales with the vectors
+    vectors = np.random.default_rng(44).standard_normal((5, 6))
+    means = []
+    for scale in (1.0, 1e160):
+        path = tmp_path / "vectors.json"
+        path.write_text(json.dumps({"norm": {"variant": "power", "p": 3}, "vectors": (vectors * scale).tolist()}))
+        rc, out, _ = run_cli(capsys, "rademacher", "--vectors", f"@{path}", "--format", "json")
+        assert rc == 0
+        means.append(json.loads(out)["result"]["quadratic_mean"])
+    assert means[1] == pytest.approx(1e160 * means[0], rel=1e-14)
+
+
 def test_constants_command_csv(capsys, family_file):
     rc, out, _ = run_cli(capsys, "constants", "--family", f"@{family_file}", "--format", "csv", "--samples", "16")
     assert rc == 0

@@ -137,6 +137,34 @@ def test_sign_enumeration_matches_full_loop(n, scalars):
             assert replay == pytest.approx(est.value, rel=1e-10), (name, mode)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_sign_means_survive_huge_and_tiny_vectors(scale):
+    # the squared l3 norms overflow at 1e160 and underflow at 1e-170,
+    # yet both means scale with the vectors
+    rng = np.random.default_rng(44)
+    vectors = [rng.standard_normal(6) for _ in range(5)]
+    l3 = NormSpec.power(3.0)
+    scaled = [v * scale for v in vectors]
+    for power in (1, 2):
+        want = scale * rademacher_average(vectors, l3, power=power)
+        assert rademacher_average(scaled, l3, power=power) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_bit_chunks_match_the_shift_formula():
+    # every k up to the sign budget, across chunk edges, and at the top of the range
+    chunk = geometry._CHUNK
+    for k in range(1, geometry.SIGN_BUDGET + 1):
+        top = 1 << k
+        ranges = ((0, min(top, 2 * chunk + 3)), (top // 2, min(top, top // 2 + chunk + 1)), (max(0, top - chunk - 5), top))
+        for lo, hi in ranges:
+            chunks = list(geometry._bit_chunks(k, lo, hi))
+            assert [len(c) for c in chunks] == [min(chunk, hi - start) for start in range(lo, hi, chunk)], k
+            idx = np.arange(lo, hi, dtype=np.int64)
+            np.testing.assert_array_equal(np.vstack(chunks), ((idx[:, None] >> np.arange(k)) & 1).astype(float))
+            assert all(c.dtype == float for c in chunks)
+
+
 def full_loop_unconditional(family, patterns, samples, seed):
     norm = family.space.norm
     sampler = unit_sphere_sampler(norm, family.dim, seed)
@@ -230,6 +258,40 @@ def test_pruned_extremes_equal_the_full_evaluation(name, scalars, monkeypatch):
     monkeypatch.setattr(geometry, "_extreme_rows", lambda m, spec, maximize: (np.arange(len(m)), rowwise_norm(m, spec)))
     for got, want in zip(pruned, run()):
         assert estimate_bits(got) == estimate_bits(want)
+
+
+def sequential_unconditional(family, mode, samples, seed):
+    """unconditional_constant with one vector_norm per sample for its
+    denominator and every pattern evaluated: value, witness and trials."""
+    norm = family.space.norm
+    chunks = list(geometry._coefficient_chunks(mode, family.block_count))
+    sampler = unit_sphere_sampler(norm, family.dim, seed)
+    best, witness = -math.inf, None
+    for _ in range(samples):
+        x = next(sampler)
+        parts = family.blocks @ x
+        denom = vector_norm(parts.sum(axis=0), norm)
+        for coeffs in chunks:
+            ratios = rowwise_norm(coeffs @ parts, norm) / denom
+            i = int(np.argmax(ratios))
+            if ratios[i] > best:
+                best, witness = float(ratios[i]), {"coefficients": coeffs[i].copy(), "x": x.copy()}
+    return best, SAMPLED_LOWER_BOUND, samples, {k: np.asarray(v).tobytes() for k, v in witness.items()}
+
+
+@pytest.mark.parametrize("name", ["exp", "pwl", "l3"])
+def test_unconditional_denominators_take_one_row_call(name, monkeypatch):
+    norm = NormSpec.power(3.0) if name == "l3" else BRUTE_NORMS[name]
+    fam = transported(5, "real", norm, seed=6)
+    want = [sequential_unconditional(fam, mode, 6, 3) for mode in ("zero-one", "signs")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("unconditional_constant called vector_norm")
+
+    for module in (geometry, orlicz):
+        monkeypatch.setattr(module, "vector_norm", refuse)
+    got = [estimate_bits(unconditional_constant(fam, mode, samples=6, seed=3)) for mode in ("zero-one", "signs")]
+    assert got == want
 
 
 def test_enumerations_solve_few_of_their_patterns(monkeypatch):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from schauderlab import orlicz
 from schauderlab.errors import ConvergenceError
 from schauderlab.kernel import ABS_TOL
 from schauderlab.orlicz import (
@@ -13,6 +14,8 @@ from schauderlab.orlicz import (
     _extreme_rows,
     _luxemburg_bounds,
     _luxemburg_rows,
+    _lp_norms,
+    _power_sums,
     delta2_margin,
     divergence_witness,
     luxemburg_norm,
@@ -375,6 +378,39 @@ def test_closed_form_survives_huge_and_tiny_entries(p):
         assert luxemburg_norm(OrliczFunction.power(p), x) == pytest.approx(want, rel=1e-11, abs=ABS_TOL)
 
 
+@pytest.mark.parametrize("scalars", ["real", "complex"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_blocked_closed_form_is_one_block_bit_for_bit(p, scalars, monkeypatch):
+    # 2500 rows of 7 entries span three default blocks and many small ones;
+    # rows at 1e-200 and 1e200, zero rows among them, take the rescaled
+    # route, also on both sides of block edges
+    rng = np.random.default_rng(23)
+    rows = rng.standard_normal((2500, 7))
+    if scalars == "complex":
+        rows = rows + 1j * rng.standard_normal(rows.shape)
+    step = orlicz._BLOCK // 7
+    for at, scale in ((0, 1e-200), (step - 1, 1e200), (step, 1e-200), (2 * step, 0.0), (2499, 1e200), (1000, 1e-200)):
+        rows[at] *= scale
+    blocked = _lp_norms(rows, p)
+    for block in (7 * 3, 7 * 50 + 6, 1 << 40):  # 3 and 50 rows at a time, then one block
+        monkeypatch.setattr(orlicz, "_BLOCK", block)
+        np.testing.assert_array_equal(_lp_norms(rows, p), blocked)
+    assert np.all(np.isfinite(blocked)) and np.all(blocked[[0, step - 1, step, 1000, 2499]] > 0.0)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 10])
+def test_power_sums_are_within_their_error_bound(k):
+    # against |a|^k summed in extended precision, with all terms normal
+    rng = np.random.default_rng(29 + k)
+    rows = rng.standard_normal((300, 9)) * 10.0 ** rng.uniform(-10, 10, (300, 1))
+    rows = rows + 1j * rng.standard_normal(rows.shape) * 0.5
+    want = (np.abs(rows.astype(np.clongdouble)) ** k).sum(axis=1)
+    got = _power_sums(rows, k)
+    # k - 1 products, n - 1 additions and the rounding of |a|, each at most eps / 2
+    bound = (k - 1 + rows.shape[1]) * np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= bound * want)
+
+
 def test_rowwise_power_and_max():
     rows = np.array([[3.0, -4.0], [1.0, 1.0]])
     np.testing.assert_allclose(rowwise_norm(rows, NormSpec.power(2.0)), [5.0, math.sqrt(2.0)])
@@ -450,31 +486,74 @@ def extreme_cases(rng):
     }
 
 
+def check_extremes(rows, spec, label):
+    """_extreme_rows against the full evaluation: every row that can reach
+    the extreme is kept, with the norms of the full evaluation, so the
+    first extreme, also of the quotients by a shared denominator, is the
+    one the full evaluation finds.  Returns the kept counts."""
+    full = rowwise_norm(rows, spec)
+    kept = []
+    for maximize in (True, False):
+        pick = np.argmax if maximize else np.argmin
+        idx, norms = _extreme_rows(rows, spec, maximize)
+        assert np.all(np.diff(idx) > 0), label
+        np.testing.assert_array_equal(norms, full[idx], err_msg=label)
+        assert np.isin(np.flatnonzero(full == full[pick(full)]), idx).all(), label
+        for denom in (1.0, 0.8372611094, 3.1e-5, 7.0):
+            assert idx[pick(norms / denom)] == pick(full / denom), (label, maximize, denom)
+        kept.append(idx.size)
+    return kept
+
+
 @pytest.mark.parametrize("name", SOLVED_GAUGES)
 def test_extreme_rows_match_the_full_evaluation(name):
-    # every row that can reach the extreme is kept, with the norms of the
-    # full evaluation, so the first extreme, also of the quotients by a
-    # shared denominator, is the one the full evaluation finds
     spec = NormSpec.orlicz(KERNEL_GAUGES[name])
     for label, rows in extreme_cases(np.random.default_rng(5)).items():
-        full = rowwise_norm(rows, spec)
-        for maximize in (True, False):
-            pick = np.argmax if maximize else np.argmin
-            idx, norms = _extreme_rows(rows, spec, maximize)
-            assert np.all(np.diff(idx) > 0), label
-            np.testing.assert_array_equal(norms, full[idx], err_msg=label)
-            assert np.isin(np.flatnonzero(full == full[pick(full)]), idx).all(), label
-            for denom in (1.0, 0.8372611094, 3.1e-5, 7.0):
-                assert idx[pick(norms / denom)] == pick(full / denom), (label, maximize, denom)
+        check_extremes(rows, spec, label)
 
 
-def test_extreme_rows_keep_every_row_of_a_closed_form():
-    rows = np.random.default_rng(6).standard_normal((50, 8))
-    for spec in (NormSpec.power(1.0), NormSpec.power(3.0), NormSpec.max_norm(),
+def closed_form_cases(rng):
+    """extreme_cases plus real and complex stacks whose rows lie at scales
+    from 1e-200 to 1e150, with cubes that vanish (1e-110) or are subnormal
+    (1e-104) among them, and zero, duplicated and negated rows; and two rows
+    whose subnormal cubes round out of order."""
+    cases = extreme_cases(rng)
+    for scalars in ("real", "complex"):
+        rows = rng.standard_normal((400, 6))
+        if scalars == "complex":
+            rows = rows + 1j * rng.standard_normal(rows.shape)
+        rows *= rng.choice([1e-200, 1e-110, 1e-104, 1e-50, 1.0, 1e100, 1e150], size=(400, 1))
+        rows[[7, 150, 390]] = 0.0
+        # the largest row and the smallest nonzero one, duplicated and negated
+        top, bottom = np.argmax(np.abs(rows).max(axis=1)), np.argmin(np.abs(rows).max(axis=1) + (rows == 0).all(axis=1))
+        rows[[60, 61, 250]] = rows[top], -rows[top], rows[bottom]
+        rows[[70, 300]] = -rows[bottom], rows[bottom]
+        cases[f"scales-{scalars}"] = rows
+        cases[f"scales-{scalars}-no-zero-row"] = np.delete(rows, [7, 150, 390], axis=0)
+        # cubes of 1.49, 1.49 and 2.6 times the smallest subnormal round to
+        # 1, 1 and 3 times it: the sums of cubes order the rows wrongly
+        pair = 2.0**-358 * np.array([[1.49, 1.49], [2.6, 0.0]]) ** (1.0 / 3.0)
+        cases[f"subnormal-{scalars}"] = pair * ([1j, 1.0] if scalars == "complex" else 1.0)
+    return cases
+
+
+def test_extreme_rows_of_closed_forms_keep_every_possible_extreme():
+    # p in {1, 2}, non-integer p and max keep every row; integer p >= 3 is
+    # pruned by its power sums, yet keeps every row that can be extreme
+    cases = closed_form_cases(np.random.default_rng(6))
+    for spec in (NormSpec.power(1.0), NormSpec.power(2.0), NormSpec.power(1.5), NormSpec.power(2.5),
+                 NormSpec.max_norm(), NormSpec.orlicz(OrliczFunction.power(2.0))):
+        for label, rows in cases.items():
+            for maximize in (True, False):
+                idx, norms = _extreme_rows(rows, spec, maximize)
+                np.testing.assert_array_equal(idx, np.arange(rows.shape[0]), err_msg=label)
+                np.testing.assert_array_equal(norms, rowwise_norm(rows, spec), err_msg=label)
+    for spec in (NormSpec.power(3.0), NormSpec.power(4.0), NormSpec.power(10.0),
                  NormSpec.orlicz(OrliczFunction.power(3.0))):
-        idx, norms = _extreme_rows(rows, spec, True)
-        np.testing.assert_array_equal(idx, np.arange(rows.shape[0]))
-        np.testing.assert_array_equal(norms, rowwise_norm(rows, spec))
+        for label, rows in cases.items():
+            kept = check_extremes(rows, spec, (label, spec))
+            if label in ("dense", "patterns", "complex"):
+                assert max(kept) <= 2, (label, spec, kept)
 
 
 def test_extreme_rows_solve_every_row_when_a_sum_overflows():
