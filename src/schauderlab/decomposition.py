@@ -21,6 +21,12 @@ from .orlicz import NormSpec, vector_norm
 RANK_REL_THRESHOLD = 1e-10
 
 
+def _rank(s: np.ndarray) -> np.ndarray:
+    """Numerical rank from singular values in falling order, or of each row
+    of a stack of them: the count above RANK_REL_THRESHOLD times the largest."""
+    return np.sum(s > RANK_REL_THRESHOLD * s[..., :1], axis=-1)
+
+
 @dataclass(frozen=True)
 class ModelSpace:
     dim: int
@@ -100,7 +106,7 @@ class Subspace:
         if b.ndim != 2 or b.shape[0] != space.dim or b.shape[1] < 1:
             raise ValueError(f"basis must be {space.dim} x r with r >= 1, got {b.shape}")
         u, s, _ = np.linalg.svd(b, full_matrices=False)
-        if s[0] == 0 or s[-1] <= RANK_REL_THRESHOLD * s[0]:
+        if _rank(s) < s.size:
             raise ValueError("basis columns are numerically dependent")
         b.setflags(write=False)
         self.basis = b
@@ -164,7 +170,7 @@ def validate_family(family: ProjectionFamily, *, require_completeness: bool = Tr
     cross = max(spectral_norm(b @ np.delete(blocks, i, axis=0)) for i, b in enumerate(blocks))
     complete = spectral_norm(blocks.sum(axis=0) - np.eye(family.dim))
     s = np.linalg.svd(blocks, compute_uv=False)
-    ranks = np.sum(s > RANK_REL_THRESHOLD * s[:, :1], axis=1)
+    ranks = _rank(s)
     ok = idem <= tol and cross <= tol and (complete <= tol or not require_completeness)
     return FamilyReport(
         idempotency_defect=idem,
@@ -213,7 +219,7 @@ def range_subspace(block: np.ndarray, space: ModelSpace) -> Subspace:
     u, s, _ = np.linalg.svd(p)
     if s[0] == 0:
         raise ValueError("zero matrix has no range basis")
-    rank = int(np.sum(s > RANK_REL_THRESHOLD * s[0]))
+    rank = int(_rank(s))
     trace_rank = float(np.trace(p).real)
     if abs(trace_rank - rank) > 0.1:
         raise ValueError(
@@ -229,7 +235,4 @@ def selfadjoint_defect(family: ProjectionFamily) -> float:
 
 
 def family_rank(block: np.ndarray) -> int:
-    s = np.linalg.svd(np.asarray(block), compute_uv=False)
-    if s[0] == 0:
-        return 0
-    return int(np.sum(s > RANK_REL_THRESHOLD * s[0]))
+    return int(_rank(np.linalg.svd(np.asarray(block), compute_uv=False)))

@@ -27,9 +27,7 @@ from .kernel import (
     _span_rows,
     unit_sphere_sampler,
 )
-# vector_norm is bound here, though no function calls it, so that a spy on
-# geometry.vector_norm catches any call a later change brings back
-from .orlicz import _NORMAL_MIN, NormSpec, OrliczFunction, _extreme_rows, luxemburg_norm, rowwise_norm, vector_norm
+from .orlicz import _NORMAL_MIN, NormSpec, OrliczFunction, _extreme_rows, luxemburg_norm, rowwise_norm
 
 SIGN_BUDGET = 24
 COEFFICIENT_BUDGET = 20
@@ -211,26 +209,28 @@ def unconditional_constant(
         witness = {"coefficients": np.ones(k), "x": u[:, 0]}
         return ConstantEstimate(value=1.0, method=SPECTRAL_EXACT, witness=witness, trials=0)
 
-    chunks = list(_coefficient_chunks(coefficient_set, k))
     xs = list(itertools.islice(unit_sphere_sampler(norm, family.dim, seed), samples))
     tuples = [family.blocks @ x for x in xs]
     denoms = rowwise_norm(np.array([t.sum(axis=0) for t in tuples]), norm)
-    best = -math.inf
-    best_witness = None
-    for x, tuple_rows, denom in zip(xs, tuples, denoms):
-        if denom <= 0:
-            continue
-        for coeffs in chunks:
+    # each chunk is made once and scanned for every sample, which keeps its
+    # first largest ratio; the first sample with the largest one then gives
+    # what scanning every chunk for one sample after another gives
+    best = [(-math.inf, None)] * samples
+    for coeffs in _coefficient_chunks(coefficient_set, k):
+        for s, (tuple_rows, denom) in enumerate(zip(tuples, denoms)):
+            if denom <= 0:
+                continue
             idx, norms = _extreme_rows(coeffs @ tuple_rows, norm, maximize=True)
             ratios = norms / denom
             i = int(np.argmax(ratios))
-            if ratios[i] > best:
-                best = float(ratios[i])
-                best_witness = {"coefficients": coeffs[idx[i]].copy(), "x": x.copy()}
+            if ratios[i] > best[s][0]:
+                best[s] = (float(ratios[i]), coeffs[idx[i]].copy())
+    s = max(range(samples), key=lambda j: best[j][0])
+    value, coeffs = best[s]
     return ConstantEstimate(
-        value=best,
+        value=value,
         method=SAMPLED_LOWER_BOUND,
-        witness=best_witness,
+        witness=None if coeffs is None else {"coefficients": coeffs, "x": xs[s].copy()},
         trials=samples,
     )
 

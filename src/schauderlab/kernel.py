@@ -2,8 +2,9 @@
 unit-sphere sampling, and the estimate container used by every constant
 computed in this package.
 
-Tolerance policy: absolute 1e-12 and relative 1e-9 unless an operation
-states a tighter bound.
+Tolerance policy: relative 1e-9 (REL_TOL) unless an operation states a
+tighter bound.  The absolute 1e-12 bracket of the Luxemburg solver is
+orlicz.ABS_TOL: this module builds on orlicz, never the other way round.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from typing import Any, Iterator
 
 import numpy as np
 
-ABS_TOL = 1e-12
+from .orlicz import NormSpec, rowwise_norm, vector_norm
+
 REL_TOL = 1e-9
 # invert_with_condition calls a matrix singular from this condition number on
 COND_LIMIT = 1e12
@@ -135,37 +137,33 @@ def _span_rows(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def unit_sphere_sampler(norm: Any, dim: int, seed: int) -> Iterator[np.ndarray]:
+def unit_sphere_sampler(norm: NormSpec, dim: int, seed: int) -> Iterator[np.ndarray]:
     """Deterministic stream of vectors with unit ambient norm.
 
     Gaussian directions, drawn in blocks of 8, 16, ... 256 rows, each block
-    normalised by one row-kernel call: every draw is g / vector_norm(g) for
-    g drawn one at a time, and the same seed gives the same stream.  Draws
-    of zero or non-finite norm are skipped.
+    normalised by one rowwise_norm call: every draw is g / vector_norm(g)
+    for g drawn one at a time, and the same seed gives the same stream.
+    Draws of zero or non-finite norm are skipped.
     """
-    from .orlicz import _row_norms  # deferred: avoids an import cycle
-
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(seed)
     rows = 8
     while True:
         x = rng.standard_normal((rows, dim))
-        nrm = _row_norms(x, norm)
+        nrm = rowwise_norm(x, norm)
         keep = (nrm > 0) & np.isfinite(nrm)
         yield from x[keep] / nrm[keep, None]
         rows = min(2 * rows, 256)
 
 
-def operator_norm(matrix: np.ndarray, norm: Any, *, samples: int = 64, seed: int = 0) -> ConstantEstimate:
+def operator_norm(matrix: np.ndarray, norm: NormSpec, *, samples: int = 64, seed: int = 0) -> ConstantEstimate:
     """Operator norm of a matrix acting on the given ambient norm.
 
     Exact for the spectral, sum and max norms.  For any other ambient the
     result is a certified upper bound obtained from norm equivalence,
     with a sampled lower bound and its witness reported alongside.
     """
-    from .orlicz import NormSpec, rowwise_norm, vector_norm  # deferred: avoids an import cycle
-
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("operator_norm expects a square matrix")

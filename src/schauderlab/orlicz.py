@@ -7,13 +7,17 @@ interpolants through user-supplied knots.  The induced (Luxemburg) norm
 of a finite sequence a is the smallest rho > 0 such that
 sum(phi(|a_n| / rho)) <= 1.
 
-One row kernel (_row_norms) computes every ambient norm in the package:
+One row kernel (rowwise_norm) computes every ambient norm in the package:
 the closed form for norms that are exactly lp norms, power gauges
 included, evaluated over cache-sized row blocks, the largest entry for
 max, and otherwise one Luxemburg solver, a bracketed, safeguarded Newton
 iteration in 1/rho that returns the feasible end of a bracket no wider
-than 1e-12 * (1 + rho).  Rows are independent, so a vector's norm equals
+than ABS_TOL * (1 + rho).  Rows are independent, so a vector's norm equals
 its row's in any batch bit for bit.
+
+Tolerance policy: this module owns ABS_TOL = 1e-12, the absolute bracket
+tolerance of the Luxemburg solver and of the pruning guard built on it;
+the relative tolerance shared by the other modules is kernel.REL_TOL.
 
 The extremes over many rows that the enumerations in geometry take
 (unconditional constants, extreme sign norms) solve only the rows that
@@ -30,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .kernel import ABS_TOL
+
+ABS_TOL = 1e-12
 
 _KINDS = ("power", "exp", "pwl")
 
@@ -267,11 +272,11 @@ def _power_sums(m: np.ndarray, k: int) -> np.ndarray:
 
 
 def vector_norm(x: Sequence[float] | np.ndarray, spec: NormSpec) -> float:
-    """Ambient norm of a vector: its one-row :func:`rowwise_norm`, bit for bit."""
+    """Ambient norm of a vector: one :func:`rowwise_norm` call on its row, bit for bit."""
     v = np.asarray(x)
     if v.ndim != 1:
         raise ValueError("expected a one-dimensional vector")
-    return float(_row_norms(v[None, :], spec)[0])
+    return float(rowwise_norm(v[None, :], spec)[0])
 
 
 _MAX_PASSES = 400
@@ -340,22 +345,18 @@ def _luxemburg_rows(phi: OrliczFunction, rows: np.ndarray) -> np.ndarray:
     raise ConvergenceError(f"gauge never reaches the unit level within {_MAX_PASSES} passes")
 
 
-def _row_norms(m: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """Ambient norm of every row of a matrix: the one row kernel."""
+def rowwise_norm(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """Ambient norm of every row of a matrix: the one entry to the row
+    kernel, for vector_norm and the unit-sphere sampler's blocks too."""
+    m = np.asarray(rows)
+    if m.ndim != 2:
+        raise ValueError("expected a matrix")
     p = spec.power_exponent()
     if p is not None:
         return _lp_norms(m, p)
     if spec.variant == "max":
         return np.abs(m).max(axis=1, initial=0.0)
     return _luxemburg_rows(spec.phi, m)
-
-
-def rowwise_norm(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """Ambient norm of every row of a matrix, through the one row kernel."""
-    m = np.asarray(rows)
-    if m.ndim != 2:
-        raise ValueError("expected a matrix")
-    return _row_norms(m, spec)
 
 
 def _luxemburg_bounds(phi: OrliczFunction, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

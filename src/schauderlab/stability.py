@@ -18,9 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import (
-    RANK_REL_THRESHOLD, ProjectionFamily, Subspace, family_rank, range_subspace, selfadjoint_defect,
-)
+from .decomposition import ProjectionFamily, Subspace, _rank, family_rank, range_subspace, selfadjoint_defect
 from .errors import ConvergenceError
 from .geometry import _block_profiles, _gram_eigh, _sampled_extremum, hilbertian_constant
 from .kernel import (
@@ -240,7 +238,7 @@ def _hyperplane(x: np.ndarray, q: np.ndarray, linf: bool) -> tuple[np.ndarray, n
     """
     n, r = q.shape
     u, s, vh = np.linalg.svd(q)
-    if s[-1] <= RANK_REL_THRESHOLD * s[0]:
+    if _rank(s) < s.size:
         return None
     a = u[:, r]
     dot = x @ a
@@ -384,7 +382,7 @@ def opening(a: Subspace, b: Subspace, norm: NormSpec | None = None, samples: int
 
     stacked = np.hstack([qa, qb])
     s = np.linalg.svd(stacked, compute_uv=False)
-    joint_rank = int(np.sum(s > RANK_REL_THRESHOLD * s[0]))
+    joint_rank = int(_rank(s))
     if a.dim == b.dim == joint_rank:
         return OpeningReport(theta=0.0, direction_ab=0.0, direction_ba=0.0, method="equal-span-exact")
 
@@ -700,7 +698,7 @@ def reduced_minimum_modulus(
     u, s, vh = np.linalg.svd(t)
     if s[0] == 0:
         return None
-    rank = int(np.sum(s > RANK_REL_THRESHOLD * s[0]))
+    rank = int(_rank(s))
     kernel = vh[rank:].conj().T  # shape (n, n - rank)
 
     if norm.power_exponent() == 2.0:

@@ -1,12 +1,15 @@
 """Tests for the shared numerical kernel: operator norms, inversion
 diagnostics, samplers."""
 
+import ast
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from schauderlab import kernel
 from schauderlab.decomposition import ModelSpace, make_coordinate_family, selfadjoint_defect, validate_family
 from schauderlab.documents import perturbation_transport
 from schauderlab.kernel import (
@@ -269,6 +272,37 @@ def test_sampler_solves_orlicz_norms_by_blocks(monkeypatch):
     assert len(calls) <= 4, calls
 
 
+def test_sampler_normalises_through_rowwise_norm(monkeypatch):
+    # 48 draws take the blocks of 8, 16 and 32 rows, each one call of the
+    # public row kernel, where the trace counts its rows
+    calls = []
+    original = kernel.rowwise_norm
+
+    def counting(rows, norm):
+        calls.append(len(rows))
+        return original(rows, norm)
+
+    monkeypatch.setattr(kernel, "rowwise_norm", counting)
+    sampler = unit_sphere_sampler(SAMPLER_SPECS["exp:1"], 6, 3)
+    for _ in range(48):
+        next(sampler)
+    assert calls == [8, 16, 32]
+
+
+def test_kernel_imports_only_at_module_level():
+    # kernel builds on orlicz at the top of the module, with no deferred
+    # import working round a cycle
+    tree = ast.parse(Path(kernel.__file__).read_text())
+    nested = [
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
+
+
 # ---------------------------------------------------------------------------
 # operator norms
 
@@ -347,10 +381,9 @@ def test_operator_norm_witness_reproduces_value():
     ids=["l3", "l1.5", "exp:1"],
 )
 def test_operator_norm_scores_its_samples_in_one_rowwise_call(spec, monkeypatch):
-    # the same sampler draws as a one-at-a-time loop, one rowwise_norm call
-    # for all of them, and the first largest draw as witness
-    from schauderlab import orlicz
-
+    # the same sampler draws as a one-at-a-time loop: three sampler blocks,
+    # then one rowwise_norm call that scores all of them, and the first
+    # largest draw as witness
     rng = np.random.default_rng(12)
     m = rng.standard_normal((6, 6))
     sampler = unit_sphere_sampler(spec, 6, 4)
@@ -358,15 +391,15 @@ def test_operator_norm_scores_its_samples_in_one_rowwise_call(spec, monkeypatch)
     values = [vector_norm(m @ x, spec) for x in draws]
     first = int(np.argmax(values))
     calls = []
-    original = orlicz.rowwise_norm
+    original = kernel.rowwise_norm
 
     def counting(rows, norm):
         calls.append(len(rows))
         return original(rows, norm)
 
-    monkeypatch.setattr(orlicz, "rowwise_norm", counting)
+    monkeypatch.setattr(kernel, "rowwise_norm", counting)
     est = operator_norm(m, spec, samples=48, seed=4)
-    assert calls == [48]
+    assert calls == [8, 16, 32, 48]
     assert est.method == CERTIFIED_UPPER_BOUND and est.trials == 48
     assert est.lower_bound == pytest.approx(values[first], rel=1e-14)
     assert np.array_equal(est.witness, draws[first])

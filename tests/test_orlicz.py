@@ -1,13 +1,15 @@
 """Gauges, Luxemburg norms and the doubling diagnostics."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from schauderlab import orlicz
 from schauderlab.errors import ConvergenceError
-from schauderlab.kernel import ABS_TOL
 from schauderlab.orlicz import (
+    ABS_TOL,
     Delta2Report,
     NormSpec,
     OrliczFunction,
@@ -212,6 +214,35 @@ def test_the_empty_vector_has_norm_zero(name):
     spec = ONE_PATH_SPECS.get(name) or NormSpec.power(float(name[1:]))
     assert vector_norm([], spec) == 0.0
     np.testing.assert_array_equal(rowwise_norm(np.zeros((2, 0)), spec), [0.0, 0.0])
+
+
+def test_vector_norm_is_one_rowwise_norm_call(monkeypatch):
+    # every vector norm enters through the public row kernel with its one row
+    calls = []
+    original = orlicz.rowwise_norm
+
+    def counting(rows, spec):
+        calls.append(np.shape(rows))
+        return original(rows, spec)
+
+    monkeypatch.setattr(orlicz, "rowwise_norm", counting)
+    for name, spec in ONE_PATH_SPECS.items():
+        calls.clear()
+        vector_norm([3.0, -4.0, 0.5], spec)
+        assert calls == [(1, 3)], name
+
+
+def test_orlicz_imports_nothing_from_kernel():
+    # kernel builds on orlicz, so the import goes one way only
+    modules = set()
+    for node in ast.walk(ast.parse(Path(orlicz.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+            if node.module is None:  # from . import name
+                modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert not {"kernel", "schauderlab.kernel"} & modules, modules
 
 
 def test_vector_norm_rejects_a_matrix():
