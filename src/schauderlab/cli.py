@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand parses its inputs into library calls and serialises
-the returned reports; no arithmetic happens here.  Exit codes: 0 for a
-computed result (negative verdicts included), 2 for input validation
-failures, 3 for numerical failures.
+Every subcommand reads its inputs through ``documents``, checks its
+flags, calls the library and serialises the returned reports; no
+arithmetic happens here.  Exit codes: 0 for a computed result (negative
+verdicts included), 2 for malformed input and failed validation, 3 for
+numerical failures.
 """
 from __future__ import annotations
 
@@ -23,52 +24,30 @@ from . import geometry, stability
 from .decomposition import validate_family
 from .documents import (
     StabilityScenario,
+    angle_pair,
     family_from_doc,
     load_doc,
-    norm_from_doc,
     norm_to_doc,
+    parse_grid,
     parse_norm_spec,
     parse_phi_spec,
+    parse_vector,
     render_json,
     scenario_from_doc,
     subspace_pair_from_doc,
     to_jsonable,
+    vectors_from_doc,
 )
 from .errors import BudgetError, ConvergenceError, DocumentError, SingularMatrixError
-from .orlicz import NormSpec, delta2_margin, luxemburg_norm
-from .decomposition import ModelSpace, Subspace
+from .orlicz import delta2_margin, luxemburg_norm
 
 _TEXT_SKIP = {"s_matrix", "witness", "witness_ab", "witness_ba"}
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, float):
         return f"{v:.10g}"
     return str(v)
-
-
-def _parse_vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(t) for t in text.split(",") if t.strip() != ""])
-    except ValueError as exc:
-        raise DocumentError(f"bad vector {text!r}: {exc}") from exc
-
-
-def _parse_grid(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise DocumentError(f"grid {text!r} must be start:stop:count or a comma list")
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise DocumentError(f"bad grid {text!r}: {exc}") from exc
-        if count < 1:
-            raise DocumentError("grid count must be >= 1")
-        return [float(v) for v in np.linspace(start, stop, count)]
-    return [float(v) for v in _parse_vector(text)]
 
 
 def _witness_ref(witness) -> str:
@@ -140,7 +119,7 @@ def _emit(args, command: str, result: object, *, csv_rows: tuple[list[str], list
 
 def _cmd_norm(args) -> None:
     phi = parse_phi_spec(args.phi)
-    x = _parse_vector(args.x)
+    x = parse_vector(args.x)
     _emit(args, "norm", {"value": luxemburg_norm(phi, x)})
 
 
@@ -149,7 +128,7 @@ def _cmd_delta2(args) -> None:
     if args.dyadic is not None:
         grid = [2.0**-k for k in range(1, args.dyadic + 1)]
     elif args.grid is not None:
-        grid = [float(v) for v in _parse_vector(args.grid)]
+        grid = parse_vector(args.grid).tolist()
     else:
         raise DocumentError("delta2 needs --grid or --dyadic")
     _emit(args, "delta2", delta2_margin(phi, grid))
@@ -161,16 +140,7 @@ def _cmd_khintchine(args) -> None:
 
 
 def _cmd_rademacher(args) -> None:
-    doc = load_doc(args.vectors)
-    norm = parse_norm_spec(args.norm) if args.norm else None
-    if norm is None:
-        if "norm" not in doc:
-            raise DocumentError("vectors document needs a 'norm' field or pass --norm")
-        norm = norm_from_doc(doc["norm"])
-    try:
-        vectors = [np.asarray(v, dtype=float) for v in doc["vectors"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"bad vectors document: {exc}") from exc
+    vectors, norm = vectors_from_doc(load_doc(args.vectors), parse_norm_spec(args.norm) if args.norm else None)
     mean, quad, lo, hi = geometry._sign_stats(vectors, norm)
     _emit(
         args,
@@ -242,18 +212,9 @@ def _cmd_type_cotype(args) -> None:
     )
 
 
-def _angle_pair(angle_degrees: float) -> tuple[Subspace, Subspace, NormSpec]:
-    norm = NormSpec.power(2.0)
-    space = ModelSpace(dim=2, norm=norm)
-    a = Subspace(np.array([[1.0], [0.0]]), space)
-    rad = float(np.deg2rad(angle_degrees))
-    b = Subspace(np.array([[np.cos(rad)], [np.sin(rad)]]), space)
-    return a, b, norm
-
-
 def _cmd_opening(args) -> None:
     if args.angle is not None:
-        a, b, norm = _angle_pair(args.angle)
+        a, b, norm = angle_pair(args.angle)
     elif args.pair is not None:
         a, b, norm = subspace_pair_from_doc(load_doc(args.pair))
     else:
@@ -319,7 +280,7 @@ def _epsilon_row(args, doc: dict, eps: float) -> list:
 
 
 def _angle_row(args, doc: dict | None, angle: float) -> list:
-    rep = stability.opening(*_angle_pair(angle), samples=args.samples, seed=args.seed)
+    rep = stability.opening(*angle_pair(angle), samples=args.samples, seed=args.seed)
     return [rep.theta, rep.direction_ab, rep.direction_ba, rep.method]
 
 
@@ -341,7 +302,7 @@ _SWEEPS = {
 
 
 def _cmd_sweep(args) -> None:
-    grid = _parse_grid(args.grid)
+    grid = parse_grid(args.grid)
     header, row = _SWEEPS[args.parameter]
     doc = None
     if args.parameter == "epsilon":
@@ -352,7 +313,9 @@ def _cmd_sweep(args) -> None:
     for value in grid:
         try:
             rows.append([value, *row(args, doc, value), ""])
-        except (DocumentError, ValueError, BudgetError, ConvergenceError, SingularMatrixError) as exc:
+        except DocumentError:
+            raise  # a malformed scenario fails the whole sweep, not one row
+        except (ValueError, BudgetError, ConvergenceError, SingularMatrixError) as exc:
             rows.append([value] + [None] * (len(header) - 1) + [str(exc)])
     _emit(args, "sweep", {}, csv_rows=(header + ["error"], rows))
 

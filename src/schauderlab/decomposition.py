@@ -106,7 +106,7 @@ class Subspace:
         if b.ndim != 2 or b.shape[0] != space.dim or b.shape[1] < 1:
             raise ValueError(f"basis must be {space.dim} x r with r >= 1, got {b.shape}")
         u, s, _ = np.linalg.svd(b, full_matrices=False)
-        if _rank(s) < s.size:
+        if _rank(s) < b.shape[1]:
             raise ValueError("basis columns are numerically dependent")
         b.setflags(write=False)
         self.basis = b

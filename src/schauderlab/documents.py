@@ -1,14 +1,15 @@
 """JSON document schemas and serialisation helpers.
 
-Gauges, norms, families and stability scenarios all travel as small
-JSON documents; this module is the single place that parses and emits
-them, so the CLI itself never touches numbers.
+Gauges, norms, families and stability scenarios travel as small JSON
+documents.  This module is the single place that parses and emits them,
+and it reads every other CLI input too, all under one input-error rule.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,20 @@ from .errors import DocumentError
 from .orlicz import NormSpec, OrliczFunction
 
 
+@contextmanager
+def _reading(what: str):
+    """The input-error rule: a DocumentError passes through, and a KeyError,
+    TypeError or ValueError becomes a DocumentError naming ``what``."""
+    try:
+        yield
+    except DocumentError:
+        raise
+    except KeyError as exc:
+        raise DocumentError(f"{what} is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"bad {what}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Gauge documents: {"kind": "power"|"exp"|"pwl", "p"?, "alpha"?, "knots"?}
 
@@ -27,17 +42,13 @@ def phi_from_doc(doc: dict) -> OrliczFunction:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DocumentError("gauge document needs a 'kind' field")
     kind = doc["kind"]
-    try:
+    with _reading("gauge document"):
         if kind == "power":
             return OrliczFunction.power(float(doc["p"]))
         if kind == "exp":
             return OrliczFunction.scaled_exp(float(doc["alpha"]))
         if kind == "pwl":
             return OrliczFunction.piecewise_linear(doc["knots"])
-    except KeyError as exc:
-        raise DocumentError(f"gauge document is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"bad gauge document: {exc}") from exc
     raise DocumentError(f"unknown gauge kind {kind!r}")
 
 
@@ -57,17 +68,13 @@ def norm_from_doc(doc: dict) -> NormSpec:
     if not isinstance(doc, dict) or "variant" not in doc:
         raise DocumentError("norm document needs a 'variant' field")
     variant = doc["variant"]
-    try:
+    with _reading("norm document"):
         if variant == "power":
             return NormSpec.power(float(doc["p"]))
         if variant == "orlicz":
             return NormSpec.orlicz(phi_from_doc(doc["phi"]))
         if variant == "max":
             return NormSpec.max_norm()
-    except KeyError as exc:
-        raise DocumentError(f"norm document is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"bad norm document: {exc}") from exc
     raise DocumentError(f"unknown norm variant {variant!r}")
 
 
@@ -80,7 +87,8 @@ def norm_to_doc(spec: NormSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Compact CLI spellings ("power:2", "max", "orlicz:exp:1", "@file.json")
+# Compact CLI spellings ("power:2", "max", "orlicz:exp:1", "@file.json",
+# "3,4,12", "0:1:5"); the messages quote the text as typed
 
 
 def load_doc(spec: str) -> dict:
@@ -96,7 +104,7 @@ def parse_phi_spec(text: str) -> OrliczFunction:
     if text.startswith("@"):
         return phi_from_doc(load_doc(text))
     kind, _, rest = text.partition(":")
-    try:
+    with _reading(f"gauge spec {text!r}"):
         if kind == "power":
             return OrliczFunction.power(float(rest))
         if kind == "exp":
@@ -104,8 +112,6 @@ def parse_phi_spec(text: str) -> OrliczFunction:
         if kind == "pwl":
             knots = [tuple(float(c) for c in pair.split(",")) for pair in rest.split(";")]
             return OrliczFunction.piecewise_linear(knots)
-    except ValueError as exc:
-        raise DocumentError(f"bad gauge spec {text!r}: {exc}") from exc
     raise DocumentError(f"unknown gauge spec {text!r}")
 
 
@@ -116,14 +122,32 @@ def parse_norm_spec(text: str) -> NormSpec:
     if text == "max":
         return NormSpec.max_norm()
     head, _, rest = text.partition(":")
-    try:
+    with _reading(f"norm spec {text!r}"):
         if head == "power":
             return NormSpec.power(float(rest))
         if head == "orlicz":
             return NormSpec.orlicz(parse_phi_spec(rest))
-    except ValueError as exc:
-        raise DocumentError(f"bad norm spec {text!r}: {exc}") from exc
     raise DocumentError(f"unknown norm spec {text!r}")
+
+
+def parse_vector(text: str) -> np.ndarray:
+    """Comma-separated entries; empty entries are skipped."""
+    with _reading(f"vector {text!r}"):
+        return np.array([float(t) for t in text.split(",") if t.strip() != ""])
+
+
+def parse_grid(text: str) -> list[float]:
+    """start:stop:count (evenly spaced, ends included) or a comma list."""
+    if ":" not in text:
+        return parse_vector(text).tolist()
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise DocumentError(f"grid {text!r} must be start:stop:count or a comma list")
+    with _reading(f"grid {text!r}"):
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if count < 1:
+        raise DocumentError("grid count must be >= 1")
+    return np.linspace(start, stop, count).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -139,41 +163,29 @@ def family_from_doc(doc: dict) -> ProjectionFamily:
     """
     if not isinstance(doc, dict):
         raise DocumentError("family document must be an object")
-    try:
+    with _reading("family document"):
         n = int(doc["N"])
-        norm = norm_from_doc(doc["norm"])
-    except KeyError as exc:
-        raise DocumentError(f"family document is missing {exc}") from exc
-    space = ModelSpace(dim=n, norm=norm, scalars=doc.get("scalars", "real"))
+        space = ModelSpace(dim=n, norm=norm_from_doc(doc["norm"]), scalars=doc.get("scalars", "real"))
     if "coordinate_blocks" in doc:
-        try:
+        with _reading("coordinate blocks"):
             return make_coordinate_family(space, doc["coordinate_blocks"])
-        except (TypeError, ValueError) as exc:
-            raise DocumentError(f"bad coordinate blocks: {exc}") from exc
     if "blocks" not in doc:
         raise DocumentError("family document needs 'blocks' or 'coordinate_blocks'")
     if not isinstance(doc["blocks"], list):
         raise DocumentError(f"'blocks' must be a list of blocks, got {type(doc['blocks']).__name__}")
     blocks = []
     for i, flat in enumerate(doc["blocks"]):
-        if isinstance(flat, dict):
-            try:
+        with _reading(f"block {i}"):
+            if isinstance(flat, dict):
                 arr = np.asarray(flat["real"], dtype=float).astype(complex)
                 arr.imag = np.asarray(flat["imag"], dtype=float)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DocumentError(f"bad complex block {i}: {exc!r}") from exc
-        else:
-            arr = np.asarray(flat, dtype=float)
-        if arr.ndim == 2 and arr.shape == (n, n):
-            blocks.append(arr)
-            continue
-        if arr.ndim != 1 or arr.size != n * n:
+            else:
+                arr = np.asarray(flat, dtype=float)
+        if arr.shape not in ((n, n), (n * n,)):
             raise DocumentError(f"block {i} has {arr.size} entries, expected {n * n}")
         blocks.append(arr.reshape(n, n))
-    try:
+    with _reading("family blocks"):
         return ProjectionFamily(blocks, space)
-    except ValueError as exc:
-        raise DocumentError(f"bad family blocks: {exc}") from exc
 
 
 def family_to_doc(family: ProjectionFamily) -> dict:
@@ -218,30 +230,26 @@ def scenario_from_doc(doc: dict, *, epsilon_override: float | None = None) -> St
         "psi": norm, "C"?: number}."""
     if not isinstance(doc, dict):
         raise DocumentError("scenario document must be an object")
-    try:
+    with _reading("scenario document"):
         p_family = family_from_doc(doc["P"])
         j_doc = doc["J"]
         psi = norm_from_doc(doc["psi"])
-    except KeyError as exc:
-        raise DocumentError(f"scenario document is missing {exc}") from exc
     epsilon = None
     transport_seed = None
     if isinstance(j_doc, dict) and "transport_of_P" in j_doc:
         spec = j_doc["transport_of_P"]
-        try:
+        if not isinstance(spec, dict):
+            raise DocumentError("transport specification must be an object")
+        with _reading("transport specification"):
             epsilon = float(spec["epsilon"]) if epsilon_override is None else float(epsilon_override)
             transport_seed = int(spec.get("seed", 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DocumentError(f"bad transport specification: {exc}") from exc
+            if transport_seed < 0:
+                raise ValueError(f"seed must be >= 0, got {transport_seed}")
         j_family = perturbation_transport(p_family, epsilon, transport_seed)
     else:
         j_family = family_from_doc(j_doc)
-    sup_bound = None
-    if "C" in doc:
-        try:
-            sup_bound = float(doc["C"])
-        except (TypeError, ValueError) as exc:
-            raise DocumentError(f"bad C value: {exc}") from exc
+    with _reading("C value"):
+        sup_bound = float(doc["C"]) if "C" in doc else None
     return StabilityScenario(
         p_family=p_family,
         j_family=j_family,
@@ -258,21 +266,35 @@ def subspace_pair_from_doc(doc: dict) -> tuple[Subspace, Subspace, NormSpec]:
     The "A" and "B" entries list spanning vectors one per row; they are
     transposed into basis columns here.
     """
-    try:
+    with _reading("subspace document"):
         amb = doc["ambient"]
         n = int(amb["N"])
         norm = norm_from_doc(amb["norm"])
         a_rows = np.atleast_2d(np.asarray(doc["A"], dtype=float))
         b_rows = np.atleast_2d(np.asarray(doc["B"], dtype=float))
-    except KeyError as exc:
-        raise DocumentError(f"subspace document is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"bad subspace document: {exc}") from exc
-    space = ModelSpace(dim=n, norm=norm)
-    try:
+        space = ModelSpace(dim=n, norm=norm)
+    with _reading("subspace basis"):
         return Subspace(a_rows.T, space), Subspace(b_rows.T, space), norm
-    except ValueError as exc:
-        raise DocumentError(f"bad subspace basis: {exc}") from exc
+
+
+def angle_pair(angle_degrees: float) -> tuple[Subspace, Subspace, NormSpec]:
+    """The first axis of the euclidean plane and the line at the given angle to it."""
+    norm = NormSpec.power(2.0)
+    space = ModelSpace(dim=2, norm=norm)
+    a = Subspace(np.array([[1.0], [0.0]]), space)
+    rad = float(np.deg2rad(angle_degrees))
+    b = Subspace(np.array([[np.cos(rad)], [np.sin(rad)]]), space)
+    return a, b, norm
+
+
+def vectors_from_doc(doc: dict, norm: NormSpec | None = None) -> tuple[list[np.ndarray], NormSpec]:
+    """{"vectors": [[...], ...], "norm"?: norm}; a given ``norm`` overrides the document's."""
+    with _reading("vectors document"):
+        if norm is None:
+            if "norm" not in doc:
+                raise DocumentError("vectors document needs a 'norm' field or pass --norm")
+            norm = norm_from_doc(doc["norm"])
+        return [np.asarray(v, dtype=float) for v in doc["vectors"]], norm
 
 
 # ---------------------------------------------------------------------------

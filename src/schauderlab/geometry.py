@@ -429,7 +429,8 @@ def khintchine_constants(p: float) -> KhintchineConstants:
     if not (p > 0 and math.isfinite(p)):
         raise ValueError(f"p must be positive and finite, got {p}")
     p0 = khintchine_crossover()
-    if p <= p0:
+    # p0 lies just past the root, where the gamma formula is the smaller one
+    if p < p0:
         lower = 2.0 ** (0.5 - 1.0 / p)
     elif p < 2.0:
         lower = math.sqrt(2.0) * (math.gamma((p + 1.0) / 2.0) / _SQRT_PI) ** (1.0 / p)
@@ -481,36 +482,23 @@ class SandwichConstants:
 
 
 def lp_sandwich_constants(p: float, unconditional: float = 1.0) -> SandwichConstants:
-    """Sandwich constants for p-th power ambient norms.
-
-    Three regimes: below the crossover exponent, between it and 2, and
-    above 2; the aggregates swap roles at p = 2.
+    """Sandwich constants for p-th power ambient norms, from the
+    Khintchine constants A_p, B_p and the unconditional constant M:
+    lower A_p / (2M) and upper 2 B_p M.  The aggregates swap roles at
+    p = 2: (l2, lp) below it, (lp, l2) from it on.
     """
     if not (p >= 1.0 and math.isfinite(p)):
         raise ValueError(f"p must be in [1, inf), got {p}")
     m = float(unconditional)
     if m < 1.0:
         raise ValueError("the unconditional constant is never below 1")
-    p0 = khintchine_crossover()
-    if p < p0:
-        lower = 2.0 ** (-0.5 - 1.0 / p) / m
-        return SandwichConstants(
-            p=p, unconditional=m,
-            psi=NormSpec.power(2.0), lower_constant=lower,
-            phi=NormSpec.power(p), upper_constant=2.0 * m,
-        )
-    if p < 2.0:
-        lower = (math.gamma((p + 1.0) / 2.0) / _SQRT_PI) ** (1.0 / p) / (math.sqrt(2.0) * m)
-        return SandwichConstants(
-            p=p, unconditional=m,
-            psi=NormSpec.power(2.0), lower_constant=lower,
-            phi=NormSpec.power(p), upper_constant=2.0 * m,
-        )
-    upper = math.sqrt(8.0) * (math.gamma((p + 1.0) / 2.0) / _SQRT_PI) ** (1.0 / p) * m
+    k = khintchine_constants(p)
+    l2, lp = NormSpec.power(2.0), NormSpec.power(p)
+    psi, phi = (l2, lp) if p < 2.0 else (lp, l2)
     return SandwichConstants(
         p=p, unconditional=m,
-        psi=NormSpec.power(p), lower_constant=1.0 / (2.0 * m),
-        phi=NormSpec.power(2.0), upper_constant=upper,
+        psi=psi, lower_constant=k.lower / (2.0 * m),
+        phi=phi, upper_constant=2.0 * k.upper * m,
     )
 
 

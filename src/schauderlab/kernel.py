@@ -19,6 +19,9 @@ from .orlicz import NormSpec, rowwise_norm, vector_norm
 REL_TOL = 1e-9
 # invert_with_condition calls a matrix singular from this condition number on
 COND_LIMIT = 1e12
+# operator_norm's sampled lower bound, where no exact formula applies
+OPERATOR_NORM_SAMPLES = 64
+OPERATOR_NORM_SEED = 0
 
 # Method tags carried by ConstantEstimate.  Reports must never claim more
 # than the computation delivered, so the tag is part of the result.
@@ -157,7 +160,7 @@ def unit_sphere_sampler(norm: NormSpec, dim: int, seed: int) -> Iterator[np.ndar
         rows = min(2 * rows, 256)
 
 
-def operator_norm(matrix: np.ndarray, norm: NormSpec, *, samples: int = 64, seed: int = 0) -> ConstantEstimate:
+def operator_norm(matrix: np.ndarray, norm: NormSpec) -> ConstantEstimate:
     """Operator norm of a matrix acting on the given ambient norm.
 
     Exact for the spectral, sum and max norms.  For any other ambient the
@@ -170,7 +173,6 @@ def operator_norm(matrix: np.ndarray, norm: NormSpec, *, samples: int = 64, seed
     n = m.shape[0]
     if not isinstance(norm, NormSpec):
         raise TypeError("norm must be a NormSpec")
-    _check_samples(samples, 0)
 
     p = norm.power_exponent()
     if p == 2.0:
@@ -193,13 +195,11 @@ def operator_norm(matrix: np.ndarray, norm: NormSpec, *, samples: int = 64, seed
     # Remaining ambients: sampled lower bound plus an equivalence-factor
     # certified upper bound.  The samples are scored by one rowwise_norm
     # call; the first largest one is the witness.
-    sampler = unit_sphere_sampler(norm, n, seed)
-    best_val, best_x = -math.inf, None
-    if samples > 0:
-        xs = np.array([next(sampler) for _ in range(samples)])
-        vals = rowwise_norm(xs @ m.T, norm)
-        i = int(np.argmax(vals))
-        best_val, best_x = float(vals[i]), xs[i]
+    sampler = unit_sphere_sampler(norm, n, OPERATOR_NORM_SEED)
+    xs = np.array([next(sampler) for _ in range(OPERATOR_NORM_SAMPLES)])
+    vals = rowwise_norm(xs @ m.T, norm)
+    i = int(np.argmax(vals))
+    best_val, best_x = float(vals[i]), xs[i]
     if p is not None:
         # ||T||_p <= N^{|1/2-1/p|} ||T||_2 via the lp <-> l2 comparison.
         factor = float(n) ** abs(0.5 - 1.0 / p)
@@ -218,6 +218,6 @@ def operator_norm(matrix: np.ndarray, norm: NormSpec, *, samples: int = 64, seed
         value=float(upper),
         method=CERTIFIED_UPPER_BOUND,
         witness=best_x,
-        trials=samples,
-        lower_bound=float(best_val),
+        trials=OPERATOR_NORM_SAMPLES,
+        lower_bound=best_val,
     )

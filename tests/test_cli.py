@@ -27,6 +27,7 @@ from schauderlab.documents import (
 )
 from schauderlab.errors import ConvergenceError, DocumentError
 from schauderlab.orlicz import NormSpec, OrliczFunction
+from schauderlab.stability import nearest_in_span
 
 
 def run_cli(capsys, *argv):
@@ -301,6 +302,37 @@ def test_opening_angle_command(capsys):
     assert res["theta"] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("degrees", [20.0, 35.0, 80.0])
+def test_opening_pair_command_in_l2_is_the_sine_of_the_angle(capsys, degrees):
+    t = math.radians(degrees)
+    pair = {"ambient": {"N": 3, "norm": {"variant": "power", "p": 2}},
+            "A": [[1, 0, 0]], "B": [[math.cos(t), math.sin(t), 0]]}
+    rc, out, _ = run_cli(capsys, "opening", "--pair", json.dumps(pair), "--format", "json")
+    assert rc == 0
+    res = json.loads(out)["result"]
+    assert res["method"] == "principal-angles-exact"
+    assert res["theta"] == pytest.approx(math.sin(t), rel=1e-12)
+
+
+def test_opening_pair_command_in_linf_replays_its_witnesses(capsys):
+    rng = np.random.default_rng(61)
+    a_rows, b_rows = rng.standard_normal((2, 5)), rng.standard_normal((2, 5))
+    pair = {"ambient": {"N": 5, "norm": {"variant": "max"}}, "A": a_rows.tolist(), "B": b_rows.tolist()}
+    rc, out, _ = run_cli(capsys, "opening", "--pair", json.dumps(pair), "--samples", "16", "--format", "json")
+    assert rc == 0
+    res = json.loads(out)["result"]
+    assert res["method"] == "sampled-lower-bound"
+    assert res["theta"] == max(res["direction_ab"], res["direction_ba"]) > 0
+    for witness, target, value in (
+        (res["witness_ab"], b_rows, res["direction_ab"]),
+        (res["witness_ba"], a_rows, res["direction_ba"]),
+    ):
+        x = np.array(witness["x"])
+        assert np.abs(x).max() == pytest.approx(1.0, rel=1e-12)
+        assert nearest_in_span(x, target.T, NormSpec.max_norm())[0] == pytest.approx(value, rel=1e-8)
+        assert np.abs(x - np.array(witness["nearest"])).max() == pytest.approx(value, rel=1e-8)
+
+
 def test_lambda_command(capsys, family_file):
     rc, out, _ = run_cli(capsys, "lambda", "--family", f"@{family_file}", "--format", "json")
     assert rc == 0
@@ -496,6 +528,123 @@ def test_exit_code_2_on_bad_gauge(capsys):
     rc, _, err = run_cli(capsys, "norm", "--phi", "cubic:3", "--x", "1,2")
     assert rc == 2
     assert "error" in err
+
+
+L2_DOC = {"variant": "power", "p": 2}
+
+
+def edited(doc: dict, **fields) -> dict:
+    """``doc`` with ``fields`` changed; a field set to ... is dropped."""
+    return {k: v for k, v in {**doc, **fields}.items() if v is not ...}
+
+
+def family(**fields) -> dict:
+    return edited({"N": 4, "norm": L2_DOC, "coordinate_blocks": [2, 2]}, **fields)
+
+
+def scenario(**fields) -> dict:
+    return edited({"P": family(), "J": {"transport_of_P": {"epsilon": 0.05, "seed": 1}}, "psi": L2_DOC}, **fields)
+
+
+def pair(**fields) -> dict:
+    return edited({"ambient": {"N": 2, "norm": L2_DOC}, "A": [[1, 0]], "B": [[0, 1]]}, **fields)
+
+
+def validate(doc: dict) -> list[str]:
+    return ["validate", "--family", json.dumps(doc)]
+
+
+def square_blocks(*blocks) -> list[str]:
+    return validate(family(N=2, coordinate_blocks=..., blocks=list(blocks)))
+
+
+def kato(doc: dict) -> list[str]:
+    return ["kato", "--scenario", json.dumps(doc)]
+
+
+def sweep(doc: dict) -> list[str]:
+    return ["sweep", "--parameter", "epsilon", "--grid", "0.01,0.02", "--scenario", json.dumps(doc)]
+
+
+def opening(doc: dict) -> list[str]:
+    return ["opening", "--pair", json.dumps(doc)]
+
+
+def rademacher(doc) -> list[str]:
+    return ["rademacher", "--vectors", json.dumps(doc)]
+
+
+def constants(psi: str) -> list[str]:
+    return ["constants", "--family", json.dumps(family()), "--psi", psi]
+
+
+def orlicz(phi) -> dict:
+    return family(norm={"variant": "orlicz", "phi": phi})
+
+
+# argv, and the text the message must hold: it names the document or spec
+MALFORMED = {
+    "gauge-document-missing": (validate(orlicz({"kind": "exp"})), "gauge document is missing 'alpha'"),
+    "gauge-document-value": (validate(orlicz({"kind": "power", "p": "x"})), "bad gauge document"),
+    "gauge-document-kind": (validate(orlicz([1])), "gauge document needs a 'kind' field"),
+    "norm-document-missing": (validate(family(norm={"variant": "power"})), "norm document is missing 'p'"),
+    "norm-document-value": (validate(family(norm={"variant": "power", "p": None})), "bad norm document"),
+    "family-N-null": (validate(family(N=None)), "bad family document"),
+    "family-N-list": (validate(family(N=[4])), "bad family document"),
+    "family-N-zero": (validate(family(N=0)), "bad family document"),
+    "family-missing-norm": (validate(family(norm=...)), "family document is missing 'norm'"),
+    "family-not-an-object": (["lambda", "--family", "[4]"], "family document must be an object"),
+    "coordinate-blocks": (validate(family(coordinate_blocks=[3, 3])), "bad coordinate blocks"),
+    "complex-block": (square_blocks({"real": [1, 0, 0, 1]}), "block 0 is missing 'imag'"),
+    "block-entry": (square_blocks(["a", 0, 0, 1]), "bad block 0"),
+    "block-entry-type": (square_blocks([{}, 0, 0, 1]), "bad block 0"),
+    "family-blocks": (square_blocks([0, 0, 0, 0]), "bad family blocks"),
+    "scenario-missing": (kato(scenario(psi=...)), "scenario document is missing 'psi'"),
+    "scenario-P-N-null": (kato(scenario(P=family(N=None))), "bad family document"),
+    "scenario-J-N-list": (kato(scenario(J=family(N=[4]))), "bad family document"),
+    "transport-missing": (kato(scenario(J={"transport_of_P": {"seed": 1}})),
+                          "transport specification is missing 'epsilon'"),
+    "transport-value": (kato(scenario(J={"transport_of_P": {"epsilon": "x"}})), "bad transport specification"),
+    "transport-not-an-object": (kato(scenario(J={"transport_of_P": [1]})),
+                                "transport specification must be an object"),
+    "transport-seed": (kato(scenario(J={"transport_of_P": {"epsilon": 0.1, "seed": -1}})),
+                       "bad transport specification"),
+    "C": (["c0-check", "--scenario", json.dumps(scenario(C="big"))], "bad C value"),
+    "sweep-N-null": (sweep(scenario(P=family(N=None))), "bad family document"),
+    "sweep-N-list": (sweep(scenario(P=family(N=[4]))), "bad family document"),
+    "sweep-transport": (sweep(scenario(J={"transport_of_P": [1]})), "transport specification must be an object"),
+    "sweep-scenario-missing": (sweep(scenario(psi=...)), "scenario document is missing 'psi'"),
+    "subspace-document-missing": (opening(pair(B=...)), "subspace document is missing 'B'"),
+    "subspace-document-N-null": (opening(pair(ambient={"N": None, "norm": L2_DOC})), "bad subspace document"),
+    "subspace-document-entry": (opening(pair(A=[["a", 0]])), "bad subspace document"),
+    "subspace-basis-shape": (opening(pair(A=[[1, 0, 0]])), "bad subspace basis"),
+    "subspace-basis-wide": (opening(pair(A=[[1, 0], [0, 1], [1, 1]])), "bad subspace basis"),
+    "vectors-document-missing": (rademacher({"norm": L2_DOC}), "vectors document is missing 'vectors'"),
+    "vectors-document-norm": (rademacher({"vectors": [[1, 0]]}), "vectors document needs a 'norm' field"),
+    "vectors-document-value": (rademacher({"norm": L2_DOC, "vectors": [["a"]]}), "bad vectors document"),
+    "vectors-document-type": (rademacher(5), "bad vectors document"),
+    "x": (["norm", "--phi", "power:2", "--x", "1,a"], "bad vector '1,a'"),
+    "delta2-grid": (["delta2", "--phi", "power:2", "--grid", "0.5,b"], "bad vector '0.5,b'"),
+    "grid-parts": (["sweep", "--parameter", "p", "--grid", "1:2"], "grid '1:2' must be start:stop:count"),
+    "grid-count": (["sweep", "--parameter", "p", "--grid", "1:2:x"], "bad grid '1:2:x'"),
+    "grid-list": (["sweep", "--parameter", "p", "--grid", "1,a"], "bad vector '1,a'"),
+    "gauge-spec": (["norm", "--phi", "power:x", "--x", "1"], "bad gauge spec 'power:x'"),
+    "gauge-spec-unknown": (["norm", "--phi", "cubic:3", "--x", "1"], "unknown gauge spec 'cubic:3'"),
+    "norm-spec": (constants("power:x"), "bad norm spec 'power:x'"),
+    "norm-spec-unknown": (constants("manhattan"), "unknown norm spec 'manhattan'"),
+    "norm-spec-gauge": (constants("orlicz:exp:x"), "bad gauge spec 'exp:x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_and_names_the_document(capsys, case):
+    argv, named = MALFORMED[case]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert named in err
+    assert out == ""
 
 
 def test_exit_code_2_on_bad_document(capsys, tmp_path):

@@ -258,6 +258,14 @@ def test_subspace_requires_full_column_rank():
         Subspace(np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]]), space)
 
 
+def test_subspace_refuses_more_columns_than_rows():
+    # three columns in the plane are dependent, although all singular values are large
+    space = ModelSpace(2, NormSpec.power(2.0))
+    with pytest.raises(ValueError, match="numerically dependent"):
+        Subspace(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), space)
+    assert Subspace(np.eye(2), space).dim == 2
+
+
 def test_subspace_orthonormal_basis():
     space = ModelSpace(3, NormSpec.power(2.0))
     sub = Subspace(np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]), space)

@@ -820,6 +820,15 @@ def test_khintchine_branch_continuity():
         assert abs(below.upper - above.upper) < 1e-4
 
 
+def test_khintchine_lower_at_the_crossover_is_the_smaller_formula():
+    # A_p is the smaller of the two formulas; the returned crossover sits
+    # on the gamma side of the root, where the power formula overshoots
+    p0 = khintchine_crossover()
+    power = 2.0 ** (0.5 - 1.0 / p0)
+    gamma = math.sqrt(2.0) * (math.gamma((p0 + 1.0) / 2.0) / math.sqrt(math.pi)) ** (1.0 / p0)
+    assert khintchine_constants(p0).lower == min(power, gamma) == gamma
+
+
 def test_khintchine_lower_below_upper():
     for p in np.linspace(0.5, 6.0, 40):
         k = khintchine_constants(float(p))

@@ -347,7 +347,7 @@ def test_operator_norm_p3_brackets_truth():
     rng = np.random.default_rng(31)
     spec = NormSpec.power(3.0)
     m = rng.standard_normal((5, 5))
-    est = operator_norm(m, spec, samples=128, seed=2)
+    est = operator_norm(m, spec)
     assert est.method == CERTIFIED_UPPER_BOUND
     assert est.lower_bound is not None
     assert est.lower_bound <= est.value * (1.0 + 1e-12)
@@ -381,13 +381,13 @@ def test_operator_norm_witness_reproduces_value():
     ids=["l3", "l1.5", "exp:1"],
 )
 def test_operator_norm_scores_its_samples_in_one_rowwise_call(spec, monkeypatch):
-    # the same sampler draws as a one-at-a-time loop: three sampler blocks,
+    # the same sampler draws as a one-at-a-time loop: four sampler blocks,
     # then one rowwise_norm call that scores all of them, and the first
     # largest draw as witness
     rng = np.random.default_rng(12)
     m = rng.standard_normal((6, 6))
-    sampler = unit_sphere_sampler(spec, 6, 4)
-    draws = [next(sampler) for _ in range(48)]
+    sampler = unit_sphere_sampler(spec, 6, 0)
+    draws = [next(sampler) for _ in range(64)]
     values = [vector_norm(m @ x, spec) for x in draws]
     first = int(np.argmax(values))
     calls = []
@@ -398,8 +398,8 @@ def test_operator_norm_scores_its_samples_in_one_rowwise_call(spec, monkeypatch)
         return original(rows, norm)
 
     monkeypatch.setattr(kernel, "rowwise_norm", counting)
-    est = operator_norm(m, spec, samples=48, seed=4)
-    assert calls == [8, 16, 32, 48]
-    assert est.method == CERTIFIED_UPPER_BOUND and est.trials == 48
+    est = operator_norm(m, spec)
+    assert calls == [8, 16, 32, 64, 64]
+    assert est.method == CERTIFIED_UPPER_BOUND and est.trials == 64
     assert est.lower_bound == pytest.approx(values[first], rel=1e-14)
     assert np.array_equal(est.witness, draws[first])

@@ -16,7 +16,7 @@ from schauderlab.decomposition import (
 )
 from schauderlab.errors import ConvergenceError
 from schauderlab.geometry import besselian_constant, hilbertian_constant, type_cotype_check, unconditional_constant
-from schauderlab.kernel import SAMPLED_LOWER_BOUND, SAMPLED_UPPER_BOUND, SPECTRAL_EXACT, operator_norm
+from schauderlab.kernel import SAMPLED_LOWER_BOUND, SAMPLED_UPPER_BOUND, SPECTRAL_EXACT
 from schauderlab.orlicz import NormSpec, OrliczFunction, vector_norm
 from schauderlab.stability import (
     _line_search,
@@ -1026,7 +1026,6 @@ def sampled_calls(norm):
         "reduced_minimum_modulus": (1, lambda s: reduced_minimum_modulus(np.eye(4) - fam.blocks[0], norm, samples=s)),
         "opening": (0, lambda s: opening(a, b, samples=s)),
         "check_opening_condition": (0, lambda s: check_opening_condition(fam, [a, b], 2.0, samples=s)),
-        "operator_norm": (0, lambda s: operator_norm(moved.blocks[0], norm, samples=s)),
         "type_cotype_check": (0, lambda s: type_cotype_check(fam, L2, 0.5, L2, 2.0, samples=s)),
     }
 
