@@ -313,9 +313,9 @@ def _cmd_sweep(args) -> None:
     for value in grid:
         try:
             rows.append([value, *row(args, doc, value), ""])
-        except DocumentError:
-            raise  # a malformed scenario fails the whole sweep, not one row
         except (ValueError, BudgetError, ConvergenceError, SingularMatrixError) as exc:
+            if isinstance(exc, DocumentError) and doc is not None:
+                raise  # a malformed scenario fails the whole sweep, not one row
             rows.append([value] + [None] * (len(header) - 1) + [str(exc)])
     _emit(args, "sweep", {}, csv_rows=(header + ["error"], rows))
 
@@ -441,12 +441,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.handler(args)
-    except (DocumentError, BudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # first: LinAlgError is a ValueError, which the input-error clause would take
     except (ConvergenceError, SingularMatrixError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (DocumentError, BudgetError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +33,16 @@ def _reading(what: str):
         raise DocumentError(f"{what} is missing {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"bad {what}: {exc}") from exc
+
+
+def _integer(value, what: str) -> int:
+    """An integer field: an int, or a float with no fractional part (so
+    4.0 reads as 4); a bool, a string or a fraction is a bad value."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +175,11 @@ def family_from_doc(doc: dict) -> ProjectionFamily:
     if not isinstance(doc, dict):
         raise DocumentError("family document must be an object")
     with _reading("family document"):
-        n = int(doc["N"])
+        n = _integer(doc["N"], "N")
         space = ModelSpace(dim=n, norm=norm_from_doc(doc["norm"]), scalars=doc.get("scalars", "real"))
     if "coordinate_blocks" in doc:
         with _reading("coordinate blocks"):
-            return make_coordinate_family(space, doc["coordinate_blocks"])
+            return make_coordinate_family(space, [_integer(s, "a block size") for s in doc["coordinate_blocks"]])
     if "blocks" not in doc:
         raise DocumentError("family document needs 'blocks' or 'coordinate_blocks'")
     if not isinstance(doc["blocks"], list):
@@ -242,7 +253,7 @@ def scenario_from_doc(doc: dict, *, epsilon_override: float | None = None) -> St
             raise DocumentError("transport specification must be an object")
         with _reading("transport specification"):
             epsilon = float(spec["epsilon"]) if epsilon_override is None else float(epsilon_override)
-            transport_seed = int(spec.get("seed", 0))
+            transport_seed = _integer(spec.get("seed", 0), "seed")
             if transport_seed < 0:
                 raise ValueError(f"seed must be >= 0, got {transport_seed}")
         j_family = perturbation_transport(p_family, epsilon, transport_seed)
@@ -268,7 +279,7 @@ def subspace_pair_from_doc(doc: dict) -> tuple[Subspace, Subspace, NormSpec]:
     """
     with _reading("subspace document"):
         amb = doc["ambient"]
-        n = int(amb["N"])
+        n = _integer(amb["N"], "N")
         norm = norm_from_doc(amb["norm"])
         a_rows = np.atleast_2d(np.asarray(doc["A"], dtype=float))
         b_rows = np.atleast_2d(np.asarray(doc["B"], dtype=float))
@@ -279,6 +290,9 @@ def subspace_pair_from_doc(doc: dict) -> tuple[Subspace, Subspace, NormSpec]:
 
 def angle_pair(angle_degrees: float) -> tuple[Subspace, Subspace, NormSpec]:
     """The first axis of the euclidean plane and the line at the given angle to it."""
+    with _reading(f"angle {angle_degrees!r}"):
+        if not math.isfinite(angle_degrees):
+            raise ValueError("the angle must be finite")
     norm = NormSpec.power(2.0)
     space = ModelSpace(dim=2, norm=norm)
     a = Subspace(np.array([[1.0], [0.0]]), space)

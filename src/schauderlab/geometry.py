@@ -288,47 +288,60 @@ _MIN_STEP = 1e-9
 _MAX_ROUNDS = 200
 
 
-def _coordinate_refine(fn, x0: np.ndarray, norm: NormSpec, *, maximize: bool) -> tuple[np.ndarray, float]:
-    """Coordinate-wise perturbation climb on the unit sphere of ``norm``.
+def _coordinate_refine(fn, x0: np.ndarray, norm: NormSpec, *, maximize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate-wise perturbation climb on the unit sphere of ``norm``,
+    from each row of the stack ``x0`` at once; returns each start's point
+    and value.
 
-    ``fn`` maps a stack of vectors to one value per row.  A round scans
-    x + h e_i, then x - h e_i, for i = 0, 1, ..., normalised, and moves to
-    each candidate that beats the best value by more than _REL_GAIN * |best|;
-    h halves after a round without a move.  The candidates left in the scan
-    are normalised by one rowwise_norm call (norms <= 0 are skipped) and
-    scored by one ``fn`` call; after a move only those behind it are formed
-    again, from the new point.  For an ``fn`` whose row i equals its value
-    on that row alone, this is the one-candidate-at-a-time trajectory, at
-    no more than 1 + rounds + moves ``fn`` calls.
+    ``fn`` maps a stack of vectors to one value per row.  A start's round
+    scans x + h e_i, then x - h e_i, for i = 0, 1, ..., normalised, and
+    moves to each candidate that beats its best value by more than
+    _REL_GAIN * |best|; h halves after a round without a move.  The starts
+    run in lockstep: each step forms the candidates left in every running
+    start's scan (after a move only those behind it, from the new point),
+    normalises them all by one rowwise_norm call (norms <= 0 are skipped)
+    and scores them all by one ``fn`` call.  For an ``fn`` whose row i
+    equals its value on that row alone, each start follows its
+    one-candidate-at-a-time trajectory, and the calls number 1 + the most
+    steps any start takes, a start's steps being its rounds plus its moves
+    that leave candidates behind them.
     """
-    x = x0 / rowwise_norm(x0[None, :], norm)[0]
-    best = fn(x[None, :])[0]
-    n = x.size
+    x = x0 / rowwise_norm(x0, norm)[:, None]
+    best = fn(x).astype(float)
+    m, n = x.shape
     signs = np.tile([1.0, -1.0], n)  # scan position c moves coordinate c // 2
-    h = 0.25
-    rounds = 0
-    while h > _MIN_STEP and rounds < _MAX_ROUNDS:
-        rounds += 1
-        improved = False
-        start = 0
-        while start < 2 * n:
-            scan = np.arange(start, 2 * n)
-            cand = np.tile(x, (scan.size, 1))
-            cand[np.arange(scan.size), scan // 2] += signs[scan] * h
-            nrm = rowwise_norm(cand, norm)
-            ok = np.flatnonzero(nrm > 0)
-            cand = cand[ok] / nrm[ok, None]
-            vals = fn(cand)
-            with np.errstate(invalid="ignore"):  # inf - inf never counts as a gain
-                gain = vals - best if maximize else best - vals
-            hit = np.flatnonzero(gain > _REL_GAIN * max(abs(best), 1e-300))
-            if not hit.size:
-                break
-            x, best, improved = cand[hit[0]], vals[hit[0]], True
-            start = scan[ok[hit[0]]] + 1
-        if not improved:
-            h *= 0.5
-    return x, float(best)
+    h = np.full(m, 0.25)
+    rounds = np.zeros(m, dtype=int)
+    running = np.ones(m, dtype=bool)
+    moved = np.ones(m, dtype=bool)
+    start = np.full(m, 2 * n)  # a scan position of 2n: the round is over
+    while True:
+        ended = running & (start == 2 * n)
+        h[ended & ~moved] *= 0.5
+        running &= ~ended | ((h > _MIN_STEP) & (rounds < _MAX_ROUNDS))
+        ended &= running
+        rounds[ended] += 1
+        moved[ended] = False
+        start[ended] = 0
+        live = np.flatnonzero(running)
+        if not live.size:
+            return x, best
+        counts = 2 * n - start[live]
+        owner = np.repeat(live, counts)
+        scan = np.arange(owner.size) + np.repeat(start[live] - np.cumsum(counts) + counts, counts)
+        cand = x[owner]
+        cand[np.arange(owner.size), scan // 2] += signs[scan] * h[owner]
+        nrm = rowwise_norm(cand, norm)
+        ok = np.flatnonzero(nrm > 0)
+        cand, owner, scan = cand[ok] / nrm[ok, None], owner[ok], scan[ok]
+        vals = fn(cand)
+        with np.errstate(invalid="ignore"):  # inf - inf never counts as a gain
+            gain = vals - best[owner] if maximize else best[owner] - vals
+        hit = np.flatnonzero(gain > _REL_GAIN * np.maximum(np.abs(best[owner]), 1e-300))
+        start[live] = 2 * n  # a scan without a gain ends its round
+        movers, first = np.unique(owner[hit], return_index=True)
+        j = hit[first]
+        x[movers], best[movers], moved[movers], start[movers] = cand[j], vals[j], True, scan[j] + 1
 
 
 def _sampled_extremum(
@@ -337,14 +350,16 @@ def _sampled_extremum(
     """Extreme of the row objective ``ratio`` over a seeded unit-sphere sample.
 
     The samples are scored by one ``ratio`` call and stably sorted; the
-    three best are each refined by coordinate search, and the best value
-    seen and its vector are returned.
+    three best are refined by one lockstep coordinate search, each along
+    its own sequential trajectory (_coordinate_refine).  The best value
+    seen and its vector are returned; a tie keeps the best sample, then
+    the earlier refined start.
     """
     xs = np.array(list(itertools.islice(unit_sphere_sampler(norm, dim, seed), samples)))
     scored = sorted(zip(ratio(xs).tolist(), xs), key=lambda t: t[0], reverse=maximize)
     best_val, best_x = scored[0]
-    for _, x in scored[:3]:
-        xr, vr = _coordinate_refine(ratio, x, norm, maximize=maximize)
+    points, values = _coordinate_refine(ratio, np.array([x for _, x in scored[:3]]), norm, maximize=maximize)
+    for xr, vr in zip(points, values.tolist()):
         if (vr > best_val) if maximize else (vr < best_val):
             best_val, best_x = vr, xr
     return best_val, best_x
@@ -357,9 +372,11 @@ def hilbertian_constant(
 
     Exact via the spectrum when both the ambient and the aggregate are
     euclidean.  Otherwise a sampled lower bound polished by coordinate
-    ascent, the samples and each batch of ascent candidates scored by one
-    row-wise ratio call (see _coordinate_refine); ``trials`` is the sample
-    count and the witness a unit vector whose ratio vector_norm replays.
+    ascent from the three best samples, refined in lockstep along their
+    sequential trajectories: the samples, and each step's candidates of
+    all three starts, are scored by one row-wise ratio call (see
+    _sampled_extremum); ``trials`` is the sample count and the witness a
+    unit vector whose ratio vector_norm replays.
     """
     _check_samples(samples, 1)
     if family.space.norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:

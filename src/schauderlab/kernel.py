@@ -133,10 +133,13 @@ def _check_samples(samples: int, least: int) -> None:
 
 def _span_rows(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row i is q @ coeffs[i], summed column by column: a matmul's
-    rounding may depend on how many rows there are."""
+    rounding may depend on how many rows there are.  Each column's
+    products go into one reused buffer and are added in place."""
     out = np.zeros((coeffs.shape[0], q.shape[0]), dtype=np.result_type(coeffs, q))
+    tmp = np.empty_like(out)
     for j in range(q.shape[1]):
-        out = out + coeffs[:, j, None] * q[:, j]
+        np.multiply(coeffs[:, j, None], q[:, j], out=tmp)
+        out += tmp
     return out
 
 

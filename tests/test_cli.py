@@ -106,6 +106,17 @@ def test_family_doc_coordinate_shorthand():
     np.testing.assert_array_equal(fam.blocks[0], np.diag([1.0, 1.0, 0.0, 0.0]))
 
 
+def test_integer_fields_take_whole_floats():
+    # JSON may write 4 as 4.0; only a fractional part is refused
+    doc = {"N": 4.0, "norm": {"variant": "power", "p": 2}, "coordinate_blocks": [2.0, 2]}
+    fam = family_from_doc(doc)
+    assert fam.dim == 4 and type(fam.dim) is int
+    np.testing.assert_array_equal(fam.blocks, family_from_doc({**doc, "N": 4, "coordinate_blocks": [2, 2]}).blocks)
+    sc = scenario_from_doc({"P": doc, "J": {"transport_of_P": {"epsilon": 0.1, "seed": 3.0}}, "psi": doc["norm"]})
+    assert sc.transport_seed == 3 and type(sc.transport_seed) is int
+    np.testing.assert_array_equal(sc.j_family.blocks, perturbation_transport(fam, 0.1, 3).blocks)
+
+
 @pytest.mark.parametrize("blocks", [5, "1,0,0,1", {"real": [1, 0, 0, 1]}, None])
 def test_family_doc_refuses_blocks_that_are_not_a_list(blocks):
     doc = {"N": 2, "norm": {"variant": "power", "p": 2}, "blocks": blocks}
@@ -490,6 +501,15 @@ def test_sweep_error_row(capsys):
     assert rows[2][4] == ""
 
 
+def test_sweep_angle_records_a_non_finite_angle_in_its_row(capsys):
+    rc, out, err = run_cli(capsys, "sweep", "--parameter", "angle", "--grid", "30,nan,60")
+    assert rc == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[0] for r in rows[1:]] == ["30.0", "nan", "60.0"]
+    assert rows[2][1:] == ["", "", "", "", "bad angle nan: the angle must be finite"]
+    assert rows[1][-1] == rows[3][-1] == ""
+
+
 def test_sweep_angle_csv(capsys):
     rc, out, _ = run_cli(capsys, "sweep", "--parameter", "angle", "--grid", "10,30,60")
     assert rc == 0
@@ -592,6 +612,13 @@ MALFORMED = {
     "family-N-null": (validate(family(N=None)), "bad family document"),
     "family-N-list": (validate(family(N=[4])), "bad family document"),
     "family-N-zero": (validate(family(N=0)), "bad family document"),
+    "family-N-fraction": (validate(family(N=4.7)), "bad family document: N must be an integer, got 4.7"),
+    "family-N-string": (validate(family(N="4")), "bad family document: N must be an integer, got '4'"),
+    "family-N-bool": (validate(family(N=True)), "bad family document: N must be an integer"),
+    "coordinate-block-fraction": (validate(family(N=5, coordinate_blocks=[2, 2.9])),
+                                  "bad coordinate blocks: a block size must be an integer, got 2.9"),
+    "coordinate-block-string": (validate(family(coordinate_blocks=[2, "2"])), "bad coordinate blocks"),
+    "coordinate-blocks-string": (validate(family(coordinate_blocks="22")), "bad coordinate blocks"),
     "family-missing-norm": (validate(family(norm=...)), "family document is missing 'norm'"),
     "family-not-an-object": (["lambda", "--family", "[4]"], "family document must be an object"),
     "coordinate-blocks": (validate(family(coordinate_blocks=[3, 3])), "bad coordinate blocks"),
@@ -609,6 +636,10 @@ MALFORMED = {
                                 "transport specification must be an object"),
     "transport-seed": (kato(scenario(J={"transport_of_P": {"epsilon": 0.1, "seed": -1}})),
                        "bad transport specification"),
+    "transport-seed-fraction": (kato(scenario(J={"transport_of_P": {"epsilon": 0.1, "seed": 1.5}})),
+                                "bad transport specification: seed must be an integer, got 1.5"),
+    "transport-seed-string": (kato(scenario(J={"transport_of_P": {"epsilon": 0.1, "seed": "1"}})),
+                              "bad transport specification"),
     "C": (["c0-check", "--scenario", json.dumps(scenario(C="big"))], "bad C value"),
     "sweep-N-null": (sweep(scenario(P=family(N=None))), "bad family document"),
     "sweep-N-list": (sweep(scenario(P=family(N=[4]))), "bad family document"),
@@ -616,6 +647,10 @@ MALFORMED = {
     "sweep-scenario-missing": (sweep(scenario(psi=...)), "scenario document is missing 'psi'"),
     "subspace-document-missing": (opening(pair(B=...)), "subspace document is missing 'B'"),
     "subspace-document-N-null": (opening(pair(ambient={"N": None, "norm": L2_DOC})), "bad subspace document"),
+    "subspace-document-N-fraction": (opening(pair(ambient={"N": 2.5, "norm": L2_DOC})),
+                                     "bad subspace document: N must be an integer, got 2.5"),
+    "angle-inf": (["opening", "--angle", "inf"], "bad angle inf: the angle must be finite"),
+    "angle-nan": (["opening", "--angle", "nan"], "bad angle nan"),
     "subspace-document-entry": (opening(pair(A=[["a", 0]])), "bad subspace document"),
     "subspace-basis-shape": (opening(pair(A=[[1, 0, 0]])), "bad subspace basis"),
     "subspace-basis-wide": (opening(pair(A=[[1, 0], [0, 1], [1, 1]])), "bad subspace basis"),
@@ -705,6 +740,17 @@ def test_exit_code_3_on_numerical_failure(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "norm", "--phi", "power:2", "--x", "1,2")
     assert rc == 3
     assert "numerical failure" in err
+
+
+def test_exit_code_3_on_linalg_error(capsys, monkeypatch):
+    # LinAlgError is a ValueError; it is still a numerical failure, not an input error
+    def explode(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli.stability, "opening", explode)
+    rc, out, err = run_cli(capsys, "opening", "--angle", "30")
+    assert rc == 3
+    assert err == "numerical failure: SVD did not converge\n" and out == ""
 
 
 def test_json_replay_is_deterministic(capsys, scenario_file):

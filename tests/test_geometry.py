@@ -589,21 +589,29 @@ def sigma_objective(p_family, j_family, psi):
     return captured[0]
 
 
-def check_refine_matches_sequential(fn, x0, norm, maximize):
+def check_refine_matches_sequential(fn, starts, norm, maximize):
+    """Refine the stack ``starts`` in lockstep, check each start against
+    the one-candidate-at-a-time climb, and return each start's moves."""
     calls = []
 
     def counting(rows):
         calls.append(len(rows))
         return fn(rows)
 
-    x, best = geometry._coordinate_refine(counting, x0, norm, maximize=maximize)
-    rx, rbest, rounds, moves, last_moves = sequential_refine(
-        fn, x0, norm, maximize=maximize, max_rounds=geometry._MAX_ROUNDS
-    )
-    assert np.array_equal(x, rx) and best == rbest
-    # one call to start, one per round, one after each move that leaves candidates
-    assert len(calls) == 1 + rounds + moves - last_moves <= 1 + rounds + moves
-    return moves
+    points, values = geometry._coordinate_refine(counting, starts, norm, maximize=maximize)
+    assert points.shape == starts.shape and values.shape == (len(starts),)
+    steps, all_moves = [], []
+    for x0, x, best in zip(starts, points, values):
+        rx, rbest, rounds, moves, last_moves = sequential_refine(
+            fn, x0, norm, maximize=maximize, max_rounds=geometry._MAX_ROUNDS
+        )
+        assert np.array_equal(x, rx) and best == rbest
+        # a start scans once per round and once after each move that leaves candidates
+        steps.append(rounds + moves - last_moves)
+        all_moves.append(moves)
+    # one call to start, then one per step of the start that takes the most
+    assert len(calls) == 1 + max(steps)
+    return all_moves
 
 
 @pytest.mark.parametrize("maximize", [True, False], ids=["max", "min"])
@@ -616,8 +624,8 @@ def test_batched_refine_follows_the_sequential_trajectory(ambient, maximize, mon
     fam = transported(3, "real", norm, seed=len(ambient))
     for i, (name, psi) in enumerate(sorted(REFINE_PSIS.items())):
         x0 = next(unit_sphere_sampler(norm, fam.dim, seed=i))
-        moves = check_refine_matches_sequential(
-            lambda rows: geometry._profile_ratio(fam, psi, rows), x0, norm, maximize
+        (moves,) = check_refine_matches_sequential(
+            lambda rows: geometry._profile_ratio(fam, psi, rows), x0[None, :], norm, maximize
         )
         assert moves > 0, name
 
@@ -629,7 +637,29 @@ def test_batched_refine_follows_the_sequential_trajectory_for_sigma(ambient, mon
     p_family = make_coordinate_family(ModelSpace(6, norm), [2, 2, 2])
     fn = sigma_objective(p_family, transported(3, "real", norm, seed=4), REFINE_PSIS["l3"])
     x0 = next(unit_sphere_sampler(norm, 6, seed=3))
-    assert check_refine_matches_sequential(fn, x0, norm, True) > 0
+    assert check_refine_matches_sequential(fn, x0[None, :], norm, True)[0] > 0
+
+
+@pytest.mark.parametrize("psi_name", ["l3", "max"])
+def test_lockstep_refine_keeps_each_start_on_its_sequential_trajectory(psi_name, monkeypatch):
+    # three starts in a power:3 coordinate family, refined together.  With
+    # psi = power:3 the ratio is 1 up to rounding and no start moves; with
+    # psi = max the minimum 1 is met on each block, so e_0 never moves while
+    # the two samples make different numbers of moves, one of them at the
+    # last scan position of a round
+    monkeypatch.setattr(geometry, "_MAX_ROUNDS", 24)
+    norm = NormSpec.power(3.0)
+    fam = make_coordinate_family(ModelSpace(12, norm), [3] * 4)
+    psi = REFINE_PSIS[psi_name]
+    samples = list(itertools.islice(unit_sphere_sampler(norm, 12, 0), 3))
+    starts = np.array([np.eye(12)[0], samples[1], samples[2]])
+    moves = check_refine_matches_sequential(
+        lambda rows: geometry._profile_ratio(fam, psi, rows), starts, norm, maximize=False
+    )
+    if psi_name == "l3":
+        assert moves == [0, 0, 0]
+    else:
+        assert moves[0] == 0 and len(set(moves)) == 3
 
 
 @pytest.mark.parametrize("scalars", ["real", "complex"])
@@ -653,10 +683,11 @@ def test_row_objectives_are_batch_invariant(ambient, scalars):
 
 def test_never_accepting_refinement_costs_one_call_per_round(monkeypatch):
     # a power:3 coordinate family with psi = power:3 has ratio 1 up to
-    # rounding, so no candidate gains 1e-8: each of the 3 refinements makes
-    # one call to start and one per round, and h halves from 0.25 past 1e-9
-    # in 28 rounds; the samples are scored by the first call, from as many
-    # sampler draws as there are samples
+    # rounding, so no candidate gains 1e-8: the 3 refinements run in
+    # lockstep, with one call for their starts and one per round scoring
+    # the 3 * 24 candidates, and h halves from 0.25 past 1e-9 in 28 rounds;
+    # the samples are scored by the first call, from as many sampler draws
+    # as there are samples
     norm = NormSpec.power(3.0)
     fam = make_coordinate_family(ModelSpace(12, norm), [3] * 4)
     calls, draws = [], []
@@ -677,7 +708,7 @@ def test_never_accepting_refinement_costs_one_call_per_round(monkeypatch):
     est = hilbertian_constant(fam, norm, samples=16, seed=5)
     assert est.value == pytest.approx(1.0, rel=1e-14)
     assert est.trials == 16 and len(draws) == 16
-    assert calls == [16] + [1, *[24] * 28] * 3
+    assert calls == [16, 3, *[72] * 28]
 
 
 def test_refinement_makes_no_vector_norm_call(monkeypatch):
@@ -692,8 +723,9 @@ def test_refinement_makes_no_vector_norm_call(monkeypatch):
     assert not hasattr(geometry, "vector_norm")
     monkeypatch.setattr(orlicz, "vector_norm", refuse)
     monkeypatch.setattr(orlicz, "luxemburg_norm", refuse)
-    x, best = geometry._coordinate_refine(lambda m: geometry._profile_ratio(fam, L2, m), x0, norm, maximize=True)
-    assert best > geometry._profile_ratio(fam, L2, x0[None, :])[0]
+    starts = np.array([x0, next(unit_sphere_sampler(norm, fam.dim, seed=1))])
+    _, best = geometry._coordinate_refine(lambda m: geometry._profile_ratio(fam, L2, m), starts, norm, maximize=True)
+    assert (best > geometry._profile_ratio(fam, L2, starts)).all()
 
 
 def test_sampled_extremum_scores_its_samples_in_one_call():
@@ -706,7 +738,7 @@ def test_sampled_extremum_scores_its_samples_in_one_call():
         return geometry._profile_ratio(fam, L2, rows)
 
     val, x = geometry._sampled_extremum(ratio, norm, fam.dim, 64, 7, maximize=False)
-    assert calls[0] == 64 and max(calls[1:]) <= 2 * fam.dim
+    assert calls[0] == 64 and max(calls[1:]) <= 3 * 2 * fam.dim
     xs = np.array(list(itertools.islice(unit_sphere_sampler(norm, fam.dim, 7), 64)))
     assert val <= ratio(xs).min()
 

@@ -17,6 +17,7 @@ from schauderlab.kernel import (
     EXACT_ENUMERATION,
     SPECTRAL_EXACT,
     ConstantEstimate,
+    _span_rows,
     invert_with_condition,
     operator_norm,
     spectral_norm,
@@ -208,6 +209,43 @@ def test_invert_random_roundtrip():
 def test_constant_estimate_rejects_unknown_tag():
     with pytest.raises(ValueError):
         ConstantEstimate(value=1.0, method="guesswork", witness=None, trials=0)
+
+
+# ---------------------------------------------------------------------------
+# column-by-column spans
+
+
+def span_rows_by_new_arrays(coeffs, q):
+    """_span_rows as a fresh array per column: out = out + c_j * q_j."""
+    out = np.zeros((coeffs.shape[0], q.shape[0]), dtype=np.result_type(coeffs, q))
+    for j in range(q.shape[1]):
+        out = out + coeffs[:, j, None] * q[:, j]
+    return out
+
+
+def same_bits(a, b):
+    parts = (lambda z: (z.real, z.imag)) if np.iscomplexobj(a) else (lambda z: (z,))
+    return a.dtype == b.dtype and all(
+        np.array_equal(u, v) and np.array_equal(np.signbit(u), np.signbit(v)) for u, v in zip(parts(a), parts(b))
+    )
+
+
+@pytest.mark.parametrize("kinds", [("real", "real"), ("real", "complex"), ("complex", "real"), ("complex", "complex")])
+@pytest.mark.parametrize("rows", [1, 24, 216])
+def test_span_rows_in_place_keeps_every_bit(kinds, rows):
+    # signed zeros and underflowing products in both factors give -0.0
+    # products, which the +0.0 start absorbs
+    rng = np.random.default_rng(rows)
+
+    def draw(kind, shape):
+        x = rng.standard_normal(shape) * rng.choice([-0.0, 0.0, 1e-200, 1.0, 1e100], size=shape)
+        if kind == "complex":
+            x = x + 1j * rng.standard_normal(shape) * rng.choice([-0.0, 0.0, 1.0], size=shape)
+        return x
+
+    coeffs, q = draw(kinds[0], (rows, 5)), draw(kinds[1], (9, 5))
+    q[:, 0] = -0.0
+    assert same_bits(_span_rows(coeffs, q), span_rows_by_new_arrays(coeffs, q))
 
 
 # ---------------------------------------------------------------------------
