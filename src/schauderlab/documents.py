@@ -223,36 +223,41 @@ class StabilityScenario:
     j_family: ProjectionFamily
     psi: NormSpec
     sup_bound: float | None
-    epsilon: float | None = None
-    transport_seed: int | None = None
+
+
+def _epsilon(value) -> float:
+    epsilon = float(value)
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
+    return epsilon
 
 
 def perturbation_transport(family: ProjectionFamily, epsilon: float, seed: int) -> ProjectionFamily:
-    """Transport by I + epsilon * T with T a seeded standard normal draw."""
+    """Transport by I + epsilon * T, T a seeded standard normal draw, for a finite epsilon."""
+    epsilon = _epsilon(epsilon)
     n = family.dim
     rng = np.random.default_rng(seed)
     t = rng.standard_normal((n, n))
-    s = np.eye(n) + float(epsilon) * t
+    s = np.eye(n) + epsilon * t
     return transport_family(s, family)
 
 
 def scenario_from_doc(doc: dict, *, epsilon_override: float | None = None) -> StabilityScenario:
     """{"P": family, "J": family | {"transport_of_P": {"epsilon": e, "seed": s}},
-        "psi": norm, "C"?: number}."""
+        "psi": norm, "C"?: number}.  A non-finite ``epsilon_override`` raises
+    perturbation_transport's ValueError, which a sweep records in its row."""
     if not isinstance(doc, dict):
         raise DocumentError("scenario document must be an object")
     with _reading("scenario document"):
         p_family = family_from_doc(doc["P"])
         j_doc = doc["J"]
         psi = norm_from_doc(doc["psi"])
-    epsilon = None
-    transport_seed = None
     if isinstance(j_doc, dict) and "transport_of_P" in j_doc:
         spec = j_doc["transport_of_P"]
         if not isinstance(spec, dict):
             raise DocumentError("transport specification must be an object")
         with _reading("transport specification"):
-            epsilon = float(spec["epsilon"]) if epsilon_override is None else float(epsilon_override)
+            epsilon = _epsilon(spec["epsilon"]) if epsilon_override is None else epsilon_override
             transport_seed = _integer(spec.get("seed", 0), "seed")
             if transport_seed < 0:
                 raise ValueError(f"seed must be >= 0, got {transport_seed}")
@@ -261,14 +266,7 @@ def scenario_from_doc(doc: dict, *, epsilon_override: float | None = None) -> St
         j_family = family_from_doc(j_doc)
     with _reading("C value"):
         sup_bound = float(doc["C"]) if "C" in doc else None
-    return StabilityScenario(
-        p_family=p_family,
-        j_family=j_family,
-        psi=psi,
-        sup_bound=sup_bound,
-        epsilon=epsilon,
-        transport_seed=transport_seed,
-    )
+    return StabilityScenario(p_family=p_family, j_family=j_family, psi=psi, sup_bound=sup_bound)
 
 
 def subspace_pair_from_doc(doc: dict) -> tuple[Subspace, Subspace, NormSpec]:

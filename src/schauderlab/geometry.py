@@ -507,8 +507,8 @@ def lp_sandwich_constants(p: float, unconditional: float = 1.0) -> SandwichConst
     if not (p >= 1.0 and math.isfinite(p)):
         raise ValueError(f"p must be in [1, inf), got {p}")
     m = float(unconditional)
-    if m < 1.0:
-        raise ValueError("the unconditional constant is never below 1")
+    if not m >= 1.0:
+        raise ValueError(f"the unconditional constant is never below 1, got {m}")
     k = khintchine_constants(p)
     l2, lp = NormSpec.power(2.0), NormSpec.power(p)
     psi, phi = (l2, lp) if p < 2.0 else (lp, l2)
@@ -548,8 +548,12 @@ def type_cotype_check(
     coordinate, block-aligned and sampled vectors.
 
     Margins are recorded per side; a violation is a margin below
-    -1e-9 * (1 + ||x||).
+    -1e-9 * (1 + ||x||).  A NaN constant is refused.
     """
+    # a negative lower or an infinite upper constant stays: a true claim
+    # whose side has nothing to violate
+    if math.isnan(lower_constant) or math.isnan(upper_constant):
+        raise ValueError("the sandwich constants must not be NaN")
     _check_samples(samples, 0)
     norm = family.space.norm
     labels, batch = _battery_matrix(family, samples, seed)
@@ -615,9 +619,11 @@ def or_type_probe(
 
     For each set the quadratic sign mean, the minimal and the maximal
     sign norms are compared with the Luxemburg aggregate of the
-    individual norms.  With ``candidate_upper`` given, sets where the
-    quadratic mean exceeds candidate * aggregate are flagged.
+    individual norms.  With ``candidate_upper`` given (not NaN), sets where
+    the quadratic mean exceeds candidate * aggregate are flagged.
     """
+    if candidate_upper is not None and math.isnan(candidate_upper):
+        raise ValueError("candidate_upper must not be NaN")
     q_max = ProbeLine(-math.inf, -1)
     q_min = ProbeLine(math.inf, -1)
     i_max = ProbeLine(-math.inf, -1)

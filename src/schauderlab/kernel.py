@@ -23,21 +23,33 @@ COND_LIMIT = 1e12
 OPERATOR_NORM_SAMPLES = 64
 OPERATOR_NORM_SEED = 0
 
-# Method tags carried by ConstantEstimate.  Reports must never claim more
-# than the computation delivered, so the tag is part of the result.
+# Every method tag a report carries.  Reports must never claim more than
+# the computation delivered, so the tag is part of the result.
 EXACT_ENUMERATION = "exact-enumeration"
 SPECTRAL_EXACT = "spectral-exact"
 SAMPLED_LOWER_BOUND = "sampled-lower-bound"
 SAMPLED_UPPER_BOUND = "sampled-upper-bound"
 CERTIFIED_UPPER_BOUND = "certified-upper-bound"
+# a value with no sampling or bounding behind it, such as a threshold built
+# only from exact operator norms, or an opening of two equal spans
+EXACT = "exact"
+# a provable lower bound, such as a threshold built from certified upper bounds
+CERTIFIED_LOWER_BOUND = "certified-lower-bound"
+# a constant given by the caller, not computed
+SUPPLIED = "supplied"
 
-_METHODS = (
+METHODS = (
     EXACT_ENUMERATION,
     SPECTRAL_EXACT,
     SAMPLED_LOWER_BOUND,
     SAMPLED_UPPER_BOUND,
     CERTIFIED_UPPER_BOUND,
+    EXACT,
+    CERTIFIED_LOWER_BOUND,
+    SUPPLIED,
 )
+# the tags whose values are exact, up to linear algebra roundoff
+EXACT_METHODS = (EXACT_ENUMERATION, SPECTRAL_EXACT, EXACT)
 
 
 @dataclass(frozen=True)
@@ -56,7 +68,7 @@ class ConstantEstimate:
     lower_bound: float | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
+        if self.method not in METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
 
 

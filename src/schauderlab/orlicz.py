@@ -68,6 +68,8 @@ class OrliczFunction:
             raise ValueError("first knot must be (0, 0)")
         ts = np.array([t for t, _ in pts])
         vs = np.array([v for _, v in pts])
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("knots must be finite")
         if np.any(np.diff(ts) <= 0):
             raise ValueError("knot abscissae must be strictly increasing")
         if np.any(vs < 0) or np.any(np.diff(vs) < 0):
@@ -462,7 +464,7 @@ def delta2_margin(phi: OrliczFunction, grid: Sequence[float] | np.ndarray) -> De
     ts = np.asarray(grid, dtype=float)
     if ts.ndim != 1 or ts.size < 2:
         raise ValueError("grid must contain at least two points")
-    if np.any(ts <= 0) or np.any(np.diff(ts) >= 0):
+    if not (np.all(ts > 0) and np.all(np.diff(ts) < 0)):
         raise ValueError("grid must be strictly decreasing and positive")
 
     vals = phi.values(ts)

@@ -22,10 +22,13 @@ from .decomposition import ProjectionFamily, Subspace, _rank, family_rank, range
 from .errors import ConvergenceError
 from .geometry import _block_profiles, _gram_eigh, _sampled_extremum, hilbertian_constant
 from .kernel import (
-    EXACT_ENUMERATION,
+    CERTIFIED_LOWER_BOUND,
+    EXACT,
+    EXACT_METHODS,
     SAMPLED_LOWER_BOUND,
     SAMPLED_UPPER_BOUND,
     SPECTRAL_EXACT,
+    SUPPLIED,
     ConstantEstimate,
     _check_samples,
     _span_rows,
@@ -384,12 +387,12 @@ def opening(a: Subspace, b: Subspace, norm: NormSpec | None = None, samples: int
     s = np.linalg.svd(stacked, compute_uv=False)
     joint_rank = int(_rank(s))
     if a.dim == b.dim == joint_rank:
-        return OpeningReport(theta=0.0, direction_ab=0.0, direction_ba=0.0, method="equal-span-exact")
+        return OpeningReport(theta=0.0, direction_ab=0.0, direction_ba=0.0, method=EXACT)
 
     if ambient.power_exponent() == 2.0:
         dab, wab = _directional_gap_exact(qa, qb)
         dba, wba = _directional_gap_exact(qb, qa)
-        method = "principal-angles-exact"
+        method = SPECTRAL_EXACT
     else:
         dab, wab = _directional_gap_sampled(qa, qb, ambient, samples, seed)
         dba, wba = _directional_gap_sampled(qb, qa, ambient, samples, seed + 1)
@@ -413,7 +416,7 @@ class ThresholdReport:
     value: float
     sup_partial_sum_norm: float
     sup_block_norm: float
-    method: str  # "exact" | "certified-lower-bound"
+    method: str  # EXACT | CERTIFIED_LOWER_BOUND
 
 
 def lambda_threshold(family: ProjectionFamily) -> ThresholdReport:
@@ -426,7 +429,7 @@ def lambda_threshold(family: ProjectionFamily) -> ThresholdReport:
     ambient = family.space.norm
     partial = [operator_norm(m, ambient) for m in np.cumsum(family.blocks, axis=0)]
     single = [operator_norm(b, ambient) for b in family.blocks]
-    exact = all(est.method in (SPECTRAL_EXACT, EXACT_ENUMERATION) for est in partial + single)
+    exact = all(est.method in EXACT_METHODS for est in partial + single)
     sup_partial = max(est.value for est in partial)
     sup_block = max(est.value for est in single)
     value = 1.0 / (4.0 * sup_partial * (1.0 + sup_block) ** 2)
@@ -434,7 +437,7 @@ def lambda_threshold(family: ProjectionFamily) -> ThresholdReport:
         value=value,
         sup_partial_sum_norm=sup_partial,
         sup_block_norm=sup_block,
-        method="exact" if exact else "certified-lower-bound",
+        method=EXACT if exact else CERTIFIED_LOWER_BOUND,
     )
 
 
@@ -586,46 +589,20 @@ def build_similarity(p_family: ProjectionFamily, j_family: ProjectionFamily) -> 
     )
 
 
-def _with_hypothesis(
-    base: StabilityReport,
-    sigma: ConstantEstimate,
-    c_value: float,
-    c_method: str,
-    threshold: float,
-    ranks: tuple[int, int],
-) -> StabilityReport:
-    marginal = abs(sigma.value - threshold) <= MARGINAL_BAND * threshold
-    met = sigma.value < threshold and ranks[0] == ranks[1]
-    return dataclasses.replace(
-        base,
-        sigma=sigma.value,
-        sigma_method=sigma.method,
-        c_hilbertian=c_value,
-        c_method=c_method,
-        threshold=threshold,
-        hypothesis_met=bool(met),
-        marginal=bool(marginal),
-        rank_first_block=ranks,
-    )
-
-
 def kato_check(p_family: ProjectionFamily, j_family: ProjectionFamily) -> StabilityReport:
-    """Selfadjoint-base stability test in the euclidean ambient.
+    """Kato's test: orlicz_stability_check(P, J, l2) on a base in the
+    euclidean ambient whose blocks are selfadjoint within 1e-10.
 
-    Requires the base blocks selfadjoint within 1e-10.  The hypothesis
-    is: perturbation size below 1 and equal first-block ranks.  The
-    similarity is always built so the residual is reported either way.
+    There C is the spectral hilbertian constant, which is 1 up to rounding,
+    so the hypothesis is Kato's: a perturbation size below 1/C and equal
+    first-block ranks.
     """
     if p_family.space.norm.power_exponent() != 2.0:
         raise ValueError("kato_check requires the euclidean ambient norm")
     defect = selfadjoint_defect(p_family)
     if defect > 1e-10:
         raise ValueError(f"base family is not selfadjoint (defect {defect:.3e})")
-    sigma = perturbation_sigma(p_family, j_family, NormSpec.power(2.0))
-    c_est = hilbertian_constant(p_family, NormSpec.power(2.0))
-    ranks = (family_rank(p_family.blocks[0]), family_rank(j_family.blocks[0]))
-    base = build_similarity(p_family, j_family)
-    return _with_hypothesis(base, sigma, c_est.value, c_est.method, 1.0, ranks)
+    return orlicz_stability_check(p_family, j_family, NormSpec.power(2.0))
 
 
 def orlicz_stability_check(
@@ -636,21 +613,29 @@ def orlicz_stability_check(
     samples: int = 256,
     seed: int = 0,
 ) -> StabilityReport:
-    """General stability test: perturbation size against 1/C where C is
-    the family's psi-aggregate bound from hilbertian_constant (or a
-    supplied value)."""
+    """The stability test: the hypothesis is a perturbation size below 1/C
+    (0 for C = inf) and equal first-block ranks, C the family's psi-aggregate
+    bound from hilbertian_constant or the supplied value, tagged SUPPLIED."""
     if hilbertian is None:
         c_est = hilbertian_constant(p_family, psi, samples=samples, seed=seed)
-        c_value, c_method = c_est.value, c_est.method
     else:
-        c_value, c_method = float(hilbertian), "supplied"
-    if not (c_value > 0):
+        c_est = ConstantEstimate(value=float(hilbertian), method=SUPPLIED)
+    if not (c_est.value > 0):
         raise ValueError("the aggregate bound C must be positive")
     sigma = perturbation_sigma(p_family, j_family, psi, samples=samples, seed=seed)
     ranks = (family_rank(p_family.blocks[0]), family_rank(j_family.blocks[0]))
-    base = build_similarity(p_family, j_family)
-    threshold = 0.0 if math.isinf(c_value) else 1.0 / c_value
-    return _with_hypothesis(base, sigma, c_value, c_method, threshold, ranks)
+    threshold = 0.0 if math.isinf(c_est.value) else 1.0 / c_est.value
+    return dataclasses.replace(
+        build_similarity(p_family, j_family),
+        sigma=sigma.value,
+        sigma_method=sigma.method,
+        c_hilbertian=c_est.value,
+        c_method=c_est.method,
+        threshold=threshold,
+        hypothesis_met=bool(sigma.value < threshold and ranks[0] == ranks[1]),
+        marginal=bool(abs(sigma.value - threshold) <= MARGINAL_BAND * threshold),
+        rank_first_block=ranks,
+    )
 
 
 def c0_stability_check(

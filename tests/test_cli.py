@@ -113,7 +113,6 @@ def test_integer_fields_take_whole_floats():
     assert fam.dim == 4 and type(fam.dim) is int
     np.testing.assert_array_equal(fam.blocks, family_from_doc({**doc, "N": 4, "coordinate_blocks": [2, 2]}).blocks)
     sc = scenario_from_doc({"P": doc, "J": {"transport_of_P": {"epsilon": 0.1, "seed": 3.0}}, "psi": doc["norm"]})
-    assert sc.transport_seed == 3 and type(sc.transport_seed) is int
     np.testing.assert_array_equal(sc.j_family.blocks, perturbation_transport(fam, 0.1, 3).blocks)
 
 
@@ -159,7 +158,6 @@ def test_scenario_doc_with_explicit_j():
     }
     sc = scenario_from_doc(doc)
     assert sc.sup_bound == 1.5
-    assert sc.epsilon is None
     np.testing.assert_array_equal(sc.j_family.blocks[0], fam.blocks[0])
 
 
@@ -171,7 +169,23 @@ def test_scenario_epsilon_override():
         "psi": {"variant": "power", "p": 2},
     }
     sc = scenario_from_doc(doc, epsilon_override=0.001)
-    assert sc.epsilon == 0.001
+    np.testing.assert_array_equal(sc.j_family.blocks, perturbation_transport(fam, 0.001, 3).blocks)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_non_finite_epsilon_is_refused_before_any_transport(epsilon):
+    fam = make_coordinate_family(ModelSpace(4, NormSpec.power(2.0)), [2, 2])
+    with pytest.raises(ValueError, match="epsilon must be finite") as info:
+        perturbation_transport(fam, epsilon, 0)
+    assert not isinstance(info.value, DocumentError)
+    # an override is no part of the document: its refusal stays a ValueError
+    doc = {"P": family_to_doc(fam), "J": {"transport_of_P": {"epsilon": 0.5}}, "psi": {"variant": "power", "p": 2}}
+    with pytest.raises(ValueError, match="epsilon must be finite") as info:
+        scenario_from_doc(doc, epsilon_override=epsilon)
+    assert not isinstance(info.value, DocumentError)
+    doc["J"]["transport_of_P"]["epsilon"] = epsilon
+    with pytest.raises(DocumentError, match="bad transport specification: epsilon must be finite"):
+        scenario_from_doc(doc)
 
 
 def test_to_jsonable_handles_special_floats():
@@ -321,7 +335,7 @@ def test_opening_pair_command_in_l2_is_the_sine_of_the_angle(capsys, degrees):
     rc, out, _ = run_cli(capsys, "opening", "--pair", json.dumps(pair), "--format", "json")
     assert rc == 0
     res = json.loads(out)["result"]
-    assert res["method"] == "principal-angles-exact"
+    assert res["method"] == "spectral-exact"
     assert res["theta"] == pytest.approx(math.sin(t), rel=1e-12)
 
 
@@ -510,6 +524,18 @@ def test_sweep_angle_records_a_non_finite_angle_in_its_row(capsys):
     assert rows[1][-1] == rows[3][-1] == ""
 
 
+def test_sweep_epsilon_records_a_non_finite_epsilon_in_its_row(capsys, scenario_file):
+    rc, out, err = run_cli(
+        capsys, "sweep", "--parameter", "epsilon", "--grid", "inf,0.01,nan", "--scenario", f"@{scenario_file}"
+    )
+    assert rc == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[0] for r in rows[1:]] == ["inf", "0.01", "nan"]
+    assert rows[1][1:] == [""] * 9 + ["epsilon must be finite, got inf"]
+    assert rows[3][-1] == "epsilon must be finite, got nan"
+    assert rows[2][-2:] == ["similar", ""]
+
+
 def test_sweep_angle_csv(capsys):
     rc, out, _ = run_cli(capsys, "sweep", "--parameter", "angle", "--grid", "10,30,60")
     assert rc == 0
@@ -632,6 +658,10 @@ MALFORMED = {
     "transport-missing": (kato(scenario(J={"transport_of_P": {"seed": 1}})),
                           "transport specification is missing 'epsilon'"),
     "transport-value": (kato(scenario(J={"transport_of_P": {"epsilon": "x"}})), "bad transport specification"),
+    "transport-epsilon-nan": (kato(scenario(J={"transport_of_P": {"epsilon": math.nan, "seed": 1}})),
+                              "bad transport specification: epsilon must be finite, got nan"),
+    "transport-epsilon-inf": (kato(scenario(J={"transport_of_P": {"epsilon": -math.inf}})),
+                              "bad transport specification: epsilon must be finite, got -inf"),
     "transport-not-an-object": (kato(scenario(J={"transport_of_P": [1]})),
                                 "transport specification must be an object"),
     "transport-seed": (kato(scenario(J={"transport_of_P": {"epsilon": 0.1, "seed": -1}})),
@@ -664,6 +694,19 @@ MALFORMED = {
     "grid-count": (["sweep", "--parameter", "p", "--grid", "1:2:x"], "bad grid '1:2:x'"),
     "grid-list": (["sweep", "--parameter", "p", "--grid", "1,a"], "bad vector '1,a'"),
     "gauge-spec": (["norm", "--phi", "power:x", "--x", "1"], "bad gauge spec 'power:x'"),
+    "gauge-spec-nan-value": (["norm", "--phi", "pwl:0,0;1,nan;2,3", "--x", "1,2"],
+                             "bad gauge spec 'pwl:0,0;1,nan;2,3': knots must be finite"),
+    "gauge-spec-nan-abscissa": (["norm", "--phi", "pwl:0,0;nan,1;2,3", "--x", "1,2"], "knots must be finite"),
+    "gauge-document-inf-knot": (validate(orlicz({"kind": "pwl", "knots": [[0, 0], [1, 1], [math.inf, 2]]})),
+                                "bad gauge document: knots must be finite"),
+    "delta2-grid-nan": (["delta2", "--phi", "power:2", "--grid", "0.5,nan,0.1"],
+                        "grid must be strictly decreasing and positive"),
+    "type-cotype-unconditional-nan": (["type-cotype", "--family", json.dumps(family()), "--lp", "3",
+                                       "--unconditional", "nan"], "unconditional constant is never below 1, got nan"),
+    "type-cotype-lower-nan": (["type-cotype", "--family", json.dumps(family()), "--psi", "power:2", "--lower", "nan",
+                               "--phi", "power:2", "--upper", "2"], "the sandwich constants must not be NaN"),
+    "type-cotype-upper-nan": (["type-cotype", "--family", json.dumps(family()), "--psi", "power:2", "--lower", "1",
+                               "--phi", "power:2", "--upper", "nan"], "the sandwich constants must not be NaN"),
     "gauge-spec-unknown": (["norm", "--phi", "cubic:3", "--x", "1"], "unknown gauge spec 'cubic:3'"),
     "norm-spec": (constants("power:x"), "bad norm spec 'power:x'"),
     "norm-spec-unknown": (constants("manhattan"), "unknown norm spec 'manhattan'"),

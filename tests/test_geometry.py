@@ -928,6 +928,26 @@ def test_sandwich_rejects_p_below_one():
         lp_sandwich_constants(0.9)
 
 
+@pytest.mark.parametrize("unconditional", [0.5, math.nan])
+def test_sandwich_rejects_an_unconditional_constant_below_one_or_nan(unconditional):
+    with pytest.raises(ValueError, match="never below 1"):
+        lp_sandwich_constants(3.0, unconditional)
+
+
+@pytest.mark.parametrize("lower, upper", [(math.nan, 2.0), (0.5, math.nan)])
+def test_type_cotype_rejects_a_nan_constant(lower, upper):
+    fam = make_coordinate_family(ModelSpace(4, L2), [2, 2])
+    with pytest.raises(ValueError, match="must not be NaN"):
+        type_cotype_check(fam, L2, lower, L2, upper, samples=4, seed=0)
+
+
+def test_type_cotype_accepts_constants_that_empty_a_side():
+    # a negative lower or an infinite upper constant holds on every vector
+    fam = make_coordinate_family(ModelSpace(4, L2), [2, 2])
+    rep = type_cotype_check(fam, L2, -1.0, L2, math.inf, samples=4, seed=0)
+    assert rep.ok and rep.min_upper_margin == math.inf
+
+
 def test_type_cotype_clean_pass():
     space = ModelSpace(8, L2)
     fam = make_coordinate_family(space, [2, 2, 2, 2])
@@ -1038,6 +1058,12 @@ def test_or_type_probe_equals_the_per_vector_report(ambient, monkeypatch):
     assert rep.min_sign_over_agg_max == line(float(mn.max()), int(mn.argmax()))
     assert rep.max_sign_over_agg_min == line(float(mx.min()), int(mx.argmin()))
     assert rep.candidate_violations == tuple(np.flatnonzero(quad > np.median(quad) * (1.0 + 1e-9)))
+
+
+def test_or_type_probe_rejects_a_nan_candidate():
+    sets = [[np.array([1.0, 0.0]), np.array([0.0, 1.0])]]
+    with pytest.raises(ValueError, match="must not be NaN"):
+        or_type_probe(sets, OrliczFunction.power(2.0), L2, candidate_upper=math.nan)
 
 
 def test_or_type_probe_rejects_zero_set():

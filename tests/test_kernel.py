@@ -2,6 +2,7 @@
 diagnostics, samplers."""
 
 import ast
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -9,8 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schauderlab import kernel
-from schauderlab.decomposition import ModelSpace, make_coordinate_family, selfadjoint_defect, validate_family
+from schauderlab import geometry, kernel, stability
+from schauderlab.decomposition import (
+    ModelSpace,
+    make_coordinate_family,
+    range_subspace,
+    selfadjoint_defect,
+    transport_family,
+    validate_family,
+)
 from schauderlab.documents import perturbation_transport
 from schauderlab.kernel import (
     CERTIFIED_UPPER_BOUND,
@@ -209,6 +217,86 @@ def test_invert_random_roundtrip():
 def test_constant_estimate_rejects_unknown_tag():
     with pytest.raises(ValueError):
         ConstantEstimate(value=1.0, method="guesswork", witness=None, trials=0)
+
+
+def test_every_tag_string_lives_in_kernel_only():
+    # a tag spelled out anywhere else would be a second vocabulary
+    assert len(set(kernel.METHODS)) == len(kernel.METHODS) == 8
+    homes = {tag: [] for tag in kernel.METHODS}
+    for path in sorted(Path(kernel.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in homes:
+                homes[node.value].append(path.name)
+    assert homes == {tag: ["kernel.py"] for tag in kernel.METHODS}
+
+
+def _method_tags(report) -> list[str]:
+    """Every ``method`` or ``*_method`` field set in a report, nested reports included."""
+    if dataclasses.is_dataclass(report):
+        tags = []
+        for field in dataclasses.fields(report):
+            value = getattr(report, field.name)
+            if (field.name == "method" or field.name.endswith("_method")) and value is not None:
+                tags.append(value)
+            tags += _method_tags(value)
+        return tags
+    if isinstance(report, (tuple, list)):
+        return [tag for item in report for tag in _method_tags(item)]
+    return []
+
+
+SWEEP_AMBIENTS = {
+    "l1": NormSpec.power(1.0),
+    "l2": NormSpec.power(2.0),
+    "max": NormSpec.max_norm(),
+    "exp:1": NormSpec.orlicz(OrliczFunction.scaled_exp(1.0)),
+}
+
+
+def _reports(ambient: NormSpec, scalars: str) -> list:
+    """One report of every public function that tags its result, on a
+    4-dimensional two-block family and a small transport of it, with the
+    ambient as the aggregate."""
+    space = ModelSpace(4, ambient, scalars=scalars)
+    fam = make_coordinate_family(space, [2, 2])
+    rng = np.random.default_rng(7)
+    t = rng.standard_normal((4, 4)) + (1j * rng.standard_normal((4, 4)) if scalars == "complex" else 0.0)
+    moved = transport_family(np.eye(4) + 0.01 * t, fam)
+    ranges = [range_subspace(b, space) for b in moved.blocks]
+    vectors = list(moved.blocks[0] + moved.blocks[1])
+    reports = [
+        kernel.operator_norm(moved.blocks[0], ambient),
+        geometry.min_max_sign_norm(vectors, ambient, "min"),
+        geometry.min_max_sign_norm(vectors, ambient, "max"),
+        *(geometry.unconditional_constant(f, mode, samples=4) for f in (fam, moved) for mode in ("zero-one", "signs")),
+        stability.opening(range_subspace(fam.blocks[0], space), range_subspace(fam.blocks[0], space), samples=4),
+        stability.opening(range_subspace(fam.blocks[0], space), ranges[0], samples=4),
+        stability.lambda_threshold(moved),
+        stability.check_opening_condition(fam, ranges, 2.0, samples=4),
+        stability.build_similarity(fam, moved),
+        stability.reduced_minimum_modulus(moved.blocks[0], ambient, samples=4),
+        geometry.hilbertian_constant(moved, ambient, samples=4),
+        geometry.besselian_constant(moved, ambient, samples=4),
+        stability.perturbation_sigma(fam, moved, ambient, samples=4),
+        stability.orlicz_stability_check(fam, moved, ambient, samples=4),
+        stability.orlicz_stability_check(fam, moved, ambient, hilbertian=1.5, samples=4),
+    ]
+    if ambient.power_exponent() == 2.0:
+        reports += [geometry.riesz_constant(moved), stability.kato_check(fam, moved)]
+    if ambient.variant == "max":
+        reports.append(stability.c0_stability_check(fam, moved, 1.0, samples=4))
+    return reports
+
+
+def test_every_report_tag_is_a_kernel_tag():
+    seen = set()
+    for name, ambient in SWEEP_AMBIENTS.items():
+        for scalars in ("real", "complex"):
+            tags = _method_tags(_reports(ambient, scalars))
+            assert set(tags) <= set(kernel.METHODS), (name, scalars, tags)
+            seen |= set(tags)
+    # the sweep reaches every tag, so none is left unchecked
+    assert seen == set(kernel.METHODS)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,20 @@ def test_pwl_gauge_rejects_concave_knots():
         OrliczFunction.piecewise_linear([(0.0, 0.0), (1.0, 2.0), (2.0, 2.5)])
 
 
+@pytest.mark.parametrize(
+    "knots",
+    [
+        [(0.0, 0.0), (1.0, math.nan), (2.0, 3.0)],
+        [(0.0, 0.0), (math.nan, 1.0), (2.0, 3.0)],
+        [(0.0, 0.0), (1.0, 1.0), (math.inf, math.inf)],
+    ],
+)
+def test_pwl_gauge_rejects_non_finite_knots(knots):
+    # each shape check is "any(bad)", which a NaN never trips
+    with pytest.raises(ValueError, match="knots must be finite"):
+        OrliczFunction.piecewise_linear(knots)
+
+
 def test_pwl_gauge_rejects_flat_tail():
     with pytest.raises(ValueError):
         OrliczFunction.piecewise_linear([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
@@ -671,6 +685,13 @@ def test_delta2_degenerate_gauge_is_reported_not_raised():
 def test_delta2_requires_decreasing_grid():
     with pytest.raises(ValueError):
         delta2_margin(OrliczFunction.power(2.0), [0.25, 0.5])
+
+
+@pytest.mark.parametrize("grid", [[0.5, math.nan, 0.1], [math.nan, 0.5], [0.5, 0.25, math.nan]])
+def test_delta2_refuses_a_nan_grid_point(grid):
+    # the checks ask that every point be positive and every step fall, which a NaN fails
+    with pytest.raises(ValueError, match="strictly decreasing and positive"):
+        delta2_margin(OrliczFunction.power(2.0), grid)
 
 
 def test_divergence_witness_certifies_growth():

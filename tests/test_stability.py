@@ -14,9 +14,10 @@ from schauderlab.decomposition import (
     make_coordinate_family,
     transport_family,
 )
+from schauderlab.documents import perturbation_transport, to_jsonable
 from schauderlab.errors import ConvergenceError
 from schauderlab.geometry import besselian_constant, hilbertian_constant, type_cotype_check, unconditional_constant
-from schauderlab.kernel import SAMPLED_LOWER_BOUND, SAMPLED_UPPER_BOUND, SPECTRAL_EXACT
+from schauderlab.kernel import EXACT, SAMPLED_LOWER_BOUND, SAMPLED_UPPER_BOUND, SPECTRAL_EXACT
 from schauderlab.orlicz import NormSpec, OrliczFunction, vector_norm
 from schauderlab.stability import (
     _line_search,
@@ -567,7 +568,7 @@ def test_opening_of_space_with_itself_is_zero():
     a = line(space, 0.3)
     rep = opening(a, a)
     assert rep.theta == 0.0
-    assert rep.method == "equal-span-exact"
+    assert rep.method == EXACT
 
 
 def test_opening_same_span_different_basis():
@@ -589,7 +590,7 @@ def test_opening_line_pair_is_sine(deg):
     space = ModelSpace(2, L2)
     alpha = math.radians(deg)
     rep = opening(line(space, 0.0), line(space, alpha))
-    assert rep.method == "principal-angles-exact"
+    assert rep.method == SPECTRAL_EXACT
     assert rep.theta == pytest.approx(math.sin(alpha), abs=1e-12)
     assert rep.direction_ab == pytest.approx(rep.direction_ba, abs=1e-12)
 
@@ -853,6 +854,35 @@ def test_kato_check_similar_verdict():
     assert rep.threshold == 1.0
     assert rep.rank_first_block == (2, 2)
     assert rep.r_norm <= rep.c_hilbertian * rep.sigma + 1e-8
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_kato_check_is_the_l2_stability_check(n):
+    # on a coordinate base C is exactly 1, so 1/C is Kato's threshold
+    fam = make_coordinate_family(ModelSpace(n, L2), [n // 4] * 4)
+    for eps, seed in ((0.01, 1), (0.2, 2)):
+        moved = perturbation_transport(fam, eps, seed)
+        rep = kato_check(fam, moved)
+        assert to_jsonable(rep) == to_jsonable(orlicz_stability_check(fam, moved, L2))
+        assert rep.c_hilbertian == rep.threshold == 1.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kato_threshold_on_a_rotated_base_is_one_over_c(seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((8, 8)))
+    fam = transport_family(q, make_coordinate_family(ModelSpace(8, L2), [2, 2, 2, 2]))
+    rep = kato_check(fam, perturbation_transport(fam, 0.01, seed))
+    assert rep.c_method == SPECTRAL_EXACT
+    assert rep.threshold == 1.0 / rep.c_hilbertian
+    assert abs(rep.threshold - 1.0) <= 1e-14
+
+
+def test_kato_on_an_incomplete_base_never_meets_the_hypothesis():
+    # orthogonal blocks that miss a coordinate: C = inf, so 1/C = 0
+    fam = ProjectionFamily([np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 0.0])], ModelSpace(4, L2))
+    rep = kato_check(fam, fam)
+    assert (rep.c_hilbertian, rep.threshold, rep.sigma) == (math.inf, 0.0, 0.0)
+    assert not rep.hypothesis_met and rep.verdict == "not invertible"
 
 
 def test_kato_rejects_non_euclidean_ambient():
