@@ -249,11 +249,10 @@ def _cmd_similarity(args) -> None:
 
 def _cmd_c0_check(args) -> None:
     sc = scenario_from_doc(load_doc(args.scenario))
-    sup_bound = args.C if args.C is not None else sc.sup_bound
-    if sup_bound is None:
-        raise DocumentError("c0-check needs C in the scenario or --C")
+    if sc.sup_bound is None:
+        raise DocumentError("c0-check needs C in the scenario")
     report = stability.c0_stability_check(
-        sc.p_family, sc.j_family, sup_bound, samples=args.samples, seed=args.seed
+        sc.p_family, sc.j_family, sc.sup_bound, samples=args.samples, seed=args.seed
     )
     _emit(args, "c0-check", report)
 
@@ -416,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("c0-check", help="stability check in the max-norm ambient")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--C", type=float, default=None, help="sup aggregate bound")
     _add_common(p, sampled=True)
     p.set_defaults(handler=_cmd_c0_check)
 

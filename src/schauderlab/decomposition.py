@@ -19,6 +19,10 @@ from .kernel import InversionResult, invert_with_condition, spectral_norm
 from .orlicz import NormSpec, vector_norm
 
 RANK_REL_THRESHOLD = 1e-10
+# a family whose selfadjoint_defect is at most this counts as orthogonal:
+# kato_check refuses a base above it, and unconditional_constant takes its
+# exact euclidean shortcut only up to it
+SELFADJOINT_TOLERANCE = 1e-10
 
 
 def _rank(s: np.ndarray) -> np.ndarray:

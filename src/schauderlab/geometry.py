@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .decomposition import ProjectionFamily, selfadjoint_defect
+from .decomposition import SELFADJOINT_TOLERANCE, ProjectionFamily, selfadjoint_defect
 from .errors import BudgetError
 from .kernel import (
     EXACT_ENUMERATION,
@@ -187,8 +187,9 @@ def unconditional_constant(
     """Smallest M with ||sum_i c_i y_i|| <= M ||sum_i y_i|| over the
     chosen coefficient patterns and sampled block tuples y_i = P_i x.
 
-    Exact over coefficients, a lower bound over vectors; orthogonal
-    blocks in the euclidean ambient give the exact value 1 directly.
+    Exact over coefficients, a lower bound over vectors; euclidean blocks
+    selfadjoint within SELFADJOINT_TOLERANCE = 1e-10, the orthogonality test
+    of kato_check, give the exact value 1 directly.
     The signs mode evaluates one pattern of each pair +-c; the witness is
     then one with c_k = +1.  unit-disc-grid ranges over real c_i in
     [-1, 1]; by convexity the sign patterns carry its maximum, so it
@@ -204,7 +205,7 @@ def unconditional_constant(
     _check_samples(samples, 1)
     norm = family.space.norm
 
-    if norm.power_exponent() == 2.0 and selfadjoint_defect(family) <= family.default_tolerance():
+    if norm.power_exponent() == 2.0 and selfadjoint_defect(family) <= SELFADJOINT_TOLERANCE:
         u, _, _ = np.linalg.svd(family.blocks[0])
         witness = {"coefficients": np.ones(k), "x": u[:, 0]}
         return ConstantEstimate(value=1.0, method=SPECTRAL_EXACT, witness=witness, trials=0)
@@ -236,12 +237,16 @@ def unconditional_constant(
 
 
 # ---------------------------------------------------------------------------
-# Frame-style constants in the euclidean ambient
+# Frame-style constants and the perturbation size
 
 
-def _gram_eigh(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of sum_k B_k^* B_k, the products summed in stack order."""
-    return np.linalg.eigh((np.swapaxes(blocks.conj(), 1, 2) @ blocks).sum(axis=0))
+def _gram_ends(blocks: np.ndarray) -> tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]:
+    """((lambda_min, x_min), (lambda_max, x_max)): both ends of the spectrum
+    of sum_k A_k^* A_k, the products summed in stack order, with unit
+    eigenvectors.  On the unit sphere the l2 aggregate of the ||A_k x||
+    runs from sqrt(lambda_min) to sqrt(lambda_max), each end at its vector."""
+    vals, vecs = np.linalg.eigh((np.swapaxes(blocks.conj(), 1, 2) @ blocks).sum(axis=0))
+    return (float(vals[0]), vecs[:, 0]), (float(vals[-1]), vecs[:, -1])
 
 
 def riesz_constant(family: ProjectionFamily) -> ConstantEstimate:
@@ -252,32 +257,28 @@ def riesz_constant(family: ProjectionFamily) -> ConstantEstimate:
     """
     if family.space.norm.power_exponent() != 2.0:
         raise ValueError("riesz_constant requires the euclidean ambient norm")
-    vals, vecs = _gram_eigh(family.blocks)
-    lo = float(vals[0])
-    hi = float(vals[-1])
+    (lo, x_lo), (hi, x_hi) = _gram_ends(family.blocks)
     if lo <= 0:
-        return ConstantEstimate(value=math.inf, method=SPECTRAL_EXACT, witness=vecs[:, 0], trials=0)
+        return ConstantEstimate(value=math.inf, method=SPECTRAL_EXACT, witness=x_lo, trials=0)
     value = max(hi, 1.0 / lo)
-    witness = vecs[:, -1] if hi >= 1.0 / lo else vecs[:, 0]
+    witness = x_hi if hi >= 1.0 / lo else x_lo
     return ConstantEstimate(value=value, method=SPECTRAL_EXACT, witness=witness, trials=0)
 
 
-def _block_profiles(blocks: np.ndarray, x: np.ndarray, norm: NormSpec) -> np.ndarray:
-    """Row i holds ||B_k x_i|| for every block k, from one rowwise_norm call.
-
-    The block images are summed column by column (kernel._span_rows), so
-    row i does not depend on the other rows of x.
-    """
+def _block_aggregate(blocks: np.ndarray, x: np.ndarray, norm: NormSpec, psi: NormSpec) -> np.ndarray:
+    """psi-aggregate of the block norms ||B_k x_i|| for every row x_i; the
+    images are summed column by column (kernel._span_rows), so row i does
+    not depend on the other rows."""
     k, n, _ = blocks.shape
     images = _span_rows(x, blocks.reshape(k * n, n)).reshape(-1, n)
-    return rowwise_norm(images, norm).reshape(-1, k)
+    return rowwise_norm(rowwise_norm(images, norm).reshape(-1, k), psi)
 
 
 def _profile_ratio(family: ProjectionFamily, psi: NormSpec, x: np.ndarray) -> np.ndarray:
     """||x_i|| / psi-aggregate of the block norms, for every row x_i; inf
     where the aggregate is 0."""
     norm = family.space.norm
-    agg = rowwise_norm(_block_profiles(family.blocks, x, norm), psi)
+    agg = _block_aggregate(family.blocks, x, norm, psi)
     return np.divide(rowwise_norm(x, norm), agg, out=np.full(agg.shape, math.inf), where=agg != 0.0)
 
 
@@ -346,14 +347,16 @@ def _coordinate_refine(fn, x0: np.ndarray, norm: NormSpec, *, maximize: bool) ->
 
 def _sampled_extremum(
     ratio, norm: NormSpec, dim: int, samples: int, seed: int, *, maximize: bool
-) -> tuple[float, np.ndarray]:
-    """Extreme of the row objective ``ratio`` over a seeded unit-sphere sample.
+) -> ConstantEstimate:
+    """Extreme of the row objective ``ratio`` over a seeded unit-sphere
+    sample, as an estimate with ``trials`` = samples.
 
     The samples are scored by one ``ratio`` call and stably sorted; the
     three best are refined by one lockstep coordinate search, each along
     its own sequential trajectory (_coordinate_refine).  The best value
     seen and its vector are returned; a tie keeps the best sample, then
-    the earlier refined start.
+    the earlier refined start.  A sampled supremum is a lower bound and a
+    sampled infimum an upper bound, and the tag says which.
     """
     xs = np.array(list(itertools.islice(unit_sphere_sampler(norm, dim, seed), samples)))
     scored = sorted(zip(ratio(xs).tolist(), xs), key=lambda t: t[0], reverse=maximize)
@@ -362,51 +365,81 @@ def _sampled_extremum(
     for xr, vr in zip(points, values.tolist()):
         if (vr > best_val) if maximize else (vr < best_val):
             best_val, best_x = vr, xr
-    return best_val, best_x
+    method = SAMPLED_LOWER_BOUND if maximize else SAMPLED_UPPER_BOUND
+    return ConstantEstimate(value=best_val, method=method, witness=best_x, trials=samples)
+
+
+def _ratio_constant(
+    family: ProjectionFamily, psi: NormSpec, samples: int, seed: int, *, maximize: bool
+) -> ConstantEstimate:
+    """Supremum (maximize) or infimum of ||x|| / psi-aggregate of ||P_n x||.
+
+    With a euclidean ambient and aggregate these are 1/sqrt(lambda_min)
+    (inf for a singular Gram matrix) and 1/sqrt(lambda_max), at their
+    eigenvectors (_gram_ends); otherwise the sampled extremum.
+    """
+    _check_samples(samples, 1)
+    if family.space.norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:
+        lo, hi = _gram_ends(family.blocks)
+        lam, x = lo if maximize else hi
+        value = 1.0 / math.sqrt(lam) if lam > 0 else math.inf
+        return ConstantEstimate(value=value, method=SPECTRAL_EXACT, witness=x, trials=0)
+    return _sampled_extremum(
+        lambda y: _profile_ratio(family, psi, y), family.space.norm, family.dim, samples, seed, maximize=maximize
+    )
 
 
 def hilbertian_constant(
     family: ProjectionFamily, psi: NormSpec, samples: int = 256, seed: int = 0
 ) -> ConstantEstimate:
-    """Smallest C with ||x|| <= C * psi-aggregate of the block norms.
+    """Smallest C with ||x|| <= C * psi-aggregate of the block norms: the
+    supremum of their ratio (_ratio_constant).
 
     Exact via the spectrum when both the ambient and the aggregate are
     euclidean.  Otherwise a sampled lower bound polished by coordinate
-    ascent from the three best samples, refined in lockstep along their
-    sequential trajectories: the samples, and each step's candidates of
-    all three starts, are scored by one row-wise ratio call (see
-    _sampled_extremum); ``trials`` is the sample count and the witness a
-    unit vector whose ratio vector_norm replays.
+    ascent from the three best samples (_sampled_extremum); the witness is
+    a unit vector whose ratio vector_norm replays.
     """
-    _check_samples(samples, 1)
-    if family.space.norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:
-        vals, vecs = _gram_eigh(family.blocks)
-        value = 1.0 / math.sqrt(vals[0]) if vals[0] > 0 else math.inf
-        return ConstantEstimate(value=value, method=SPECTRAL_EXACT, witness=vecs[:, 0], trials=0)
-    val, x = _sampled_extremum(
-        lambda y: _profile_ratio(family, psi, y), family.space.norm, family.dim, samples, seed, maximize=True
-    )
-    return ConstantEstimate(value=val, method=SAMPLED_LOWER_BOUND, witness=x, trials=samples)
+    return _ratio_constant(family, psi, samples, seed, maximize=True)
 
 
 def besselian_constant(
     family: ProjectionFamily, psi: NormSpec, samples: int = 256, seed: int = 0
 ) -> ConstantEstimate:
-    """Largest c with c * psi-aggregate of the block norms <= ||x||.
+    """Largest c with c * psi-aggregate of the block norms <= ||x||: the
+    infimum of the ratio hilbertian_constant maximises (_ratio_constant).
 
-    Exact via the spectrum in the euclidean case.  Otherwise the batched
-    search of hilbertian_constant minimises the ratio it maximises, so the
-    tag marks an upper bound on the true constant.
+    Exact via the spectrum in the euclidean case.  Otherwise the same
+    search minimises the ratio, so the tag marks an upper bound on the
+    true constant.
     """
+    return _ratio_constant(family, psi, samples, seed, maximize=False)
+
+
+def perturbation_sigma(
+    p_family: ProjectionFamily, j_family: ProjectionFamily, psi: NormSpec, samples: int = 256, seed: int = 0
+) -> ConstantEstimate:
+    """Smallest bound s with psi-aggregate of ||P_n (J_n - P_n) x|| over
+    n >= 1 at most s * ||x||; the first block is deliberately excluded.
+
+    Exact via the spectrum when everything is euclidean, s being
+    sqrt(lambda_max) for the blocks P_n (J_n - P_n) (_gram_ends); otherwise
+    a sampled lower bound polished by coordinate ascent, as in
+    hilbertian_constant.
+    """
+    if p_family.dim != j_family.dim or p_family.block_count != j_family.block_count:
+        raise ValueError("families must share dimension and block count")
     _check_samples(samples, 1)
-    if family.space.norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:
-        vals, vecs = _gram_eigh(family.blocks)
-        value = math.sqrt(max(float(vals[0]), 0.0))
-        return ConstantEstimate(value=value, method=SPECTRAL_EXACT, witness=vecs[:, 0], trials=0)
-    val, x = _sampled_extremum(
-        lambda y: _profile_ratio(family, psi, y), family.space.norm, family.dim, samples, seed, maximize=False
-    )
-    return ConstantEstimate(value=val, method=SAMPLED_UPPER_BOUND, witness=x, trials=samples)
+    norm = p_family.space.norm
+    n = p_family.dim
+    if p_family.block_count == 1:
+        return ConstantEstimate(value=0.0, method=SPECTRAL_EXACT, witness=np.eye(n)[0], trials=0)
+    p, j = p_family.blocks[1:], j_family.blocks[1:]
+    parts = p @ (j - p)
+    if norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:
+        _, (lam, x) = _gram_ends(parts)
+        return ConstantEstimate(value=math.sqrt(max(lam, 0.0)), method=SPECTRAL_EXACT, witness=x, trials=0)
+    return _sampled_extremum(lambda y: _block_aggregate(parts, y, norm, psi), norm, n, samples, seed, maximize=True)
 
 
 # ---------------------------------------------------------------------------

@@ -66,20 +66,22 @@ class OrliczFunction:
             raise ValueError("piecewise_linear needs at least two knots")
         if pts[0] != (0.0, 0.0):
             raise ValueError("first knot must be (0, 0)")
-        ts = np.array([t for t, _ in pts])
-        vs = np.array([v for _, v in pts])
         if not np.all(np.isfinite(pts)):
             raise ValueError("knots must be finite")
+        gauge = cls(kind="pwl", knots=pts)
+        ts, vs, slopes = gauge._ts, gauge._vs, gauge._slopes
         if np.any(np.diff(ts) <= 0):
             raise ValueError("knot abscissae must be strictly increasing")
         if np.any(vs < 0) or np.any(np.diff(vs) < 0):
             raise ValueError("knot values must be nonnegative and nondecreasing")
-        slopes = np.diff(vs) / np.diff(ts)
+        # finite knots still overflow a slope across a subnormal gap
+        if not np.all(np.isfinite(slopes)):
+            raise ValueError("knot slopes must be finite")
         if np.any(np.diff(slopes) < -1e-12 * max(1.0, slopes.max())):
             raise ValueError("knots must describe a convex gauge")
         if slopes[-1] <= 0:
             raise ValueError("final slope must be positive so the gauge grows without bound")
-        return cls(kind="pwl", knots=pts)
+        return gauge
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -90,7 +92,9 @@ class OrliczFunction:
             vs = np.array([k[1] for k in self.knots])
             object.__setattr__(self, "_ts", ts)
             object.__setattr__(self, "_vs", vs)
-            object.__setattr__(self, "_slopes", np.diff(vs) / np.diff(ts))
+            # computed once, quietly: piecewise_linear refuses knots whose slopes are not finite
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                object.__setattr__(self, "_slopes", np.diff(vs) / np.diff(ts))
 
     def values(self, t: np.ndarray) -> np.ndarray:
         """Gauge values at nonnegative points; vectorised, overflow-safe."""
@@ -464,8 +468,8 @@ def delta2_margin(phi: OrliczFunction, grid: Sequence[float] | np.ndarray) -> De
     ts = np.asarray(grid, dtype=float)
     if ts.ndim != 1 or ts.size < 2:
         raise ValueError("grid must contain at least two points")
-    if not (np.all(ts > 0) and np.all(np.diff(ts) < 0)):
-        raise ValueError("grid must be strictly decreasing and positive")
+    if not (np.all(np.isfinite(ts)) and np.all(ts > 0) and np.all(np.diff(ts) < 0)):
+        raise ValueError("grid must be strictly decreasing and positive, with finite points")
 
     vals = phi.values(ts)
     vals2 = phi.values(2.0 * ts)

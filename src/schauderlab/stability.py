@@ -18,9 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import ProjectionFamily, Subspace, _rank, family_rank, range_subspace, selfadjoint_defect
+from .decomposition import SELFADJOINT_TOLERANCE, ProjectionFamily, Subspace, _rank, family_rank, range_subspace
+from .decomposition import selfadjoint_defect
 from .errors import ConvergenceError
-from .geometry import _block_profiles, _gram_eigh, _sampled_extremum, hilbertian_constant
+from .geometry import hilbertian_constant, perturbation_sigma
 from .kernel import (
     CERTIFIED_LOWER_BOUND,
     EXACT,
@@ -482,48 +483,6 @@ def check_opening_condition(
 
 
 # ---------------------------------------------------------------------------
-# Perturbation size in the aggregated sense
-
-
-def perturbation_sigma(
-    p_family: ProjectionFamily,
-    j_family: ProjectionFamily,
-    psi: NormSpec,
-    samples: int = 256,
-    seed: int = 0,
-) -> ConstantEstimate:
-    """Smallest bound s with psi-aggregate of ||P_n (J_n - P_n) x|| over
-    n >= 1 at most s * ||x||; the first block is deliberately excluded.
-
-    Exact via the spectrum of the summed products when everything is
-    euclidean; otherwise a sampled lower bound polished by coordinate
-    ascent, as in hilbertian_constant, with one rowwise_norm(profiles,
-    psi) call scoring each batch of samples or candidates.
-    """
-    if p_family.dim != j_family.dim or p_family.block_count != j_family.block_count:
-        raise ValueError("families must share dimension and block count")
-    _check_samples(samples, 1)
-    norm = p_family.space.norm
-    n = p_family.dim
-    if p_family.block_count == 1:
-        e = np.zeros(n)
-        e[0] = 1.0
-        return ConstantEstimate(value=0.0, method=SPECTRAL_EXACT, witness=e, trials=0)
-    p, j = p_family.blocks[1:], j_family.blocks[1:]
-    parts = p @ (j - p)
-
-    if norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:
-        vals, vecs = _gram_eigh(parts)
-        sigma = math.sqrt(max(float(vals[-1]), 0.0))
-        return ConstantEstimate(value=sigma, method=SPECTRAL_EXACT, witness=vecs[:, -1], trials=0)
-
-    best_val, best_x = _sampled_extremum(
-        lambda x: rowwise_norm(_block_profiles(parts, x, norm), psi), norm, n, samples, seed, maximize=True
-    )
-    return ConstantEstimate(value=best_val, method=SAMPLED_LOWER_BOUND, witness=best_x, trials=samples)
-
-
-# ---------------------------------------------------------------------------
 # The similarity construction
 
 
@@ -591,7 +550,8 @@ def build_similarity(p_family: ProjectionFamily, j_family: ProjectionFamily) -> 
 
 def kato_check(p_family: ProjectionFamily, j_family: ProjectionFamily) -> StabilityReport:
     """Kato's test: orlicz_stability_check(P, J, l2) on a base in the
-    euclidean ambient whose blocks are selfadjoint within 1e-10.
+    euclidean ambient whose blocks are selfadjoint within SELFADJOINT_TOLERANCE
+    = 1e-10, the one orthogonality test, which unconditional_constant shares.
 
     There C is the spectral hilbertian constant, which is 1 up to rounding,
     so the hypothesis is Kato's: a perturbation size below 1/C and equal
@@ -600,7 +560,7 @@ def kato_check(p_family: ProjectionFamily, j_family: ProjectionFamily) -> Stabil
     if p_family.space.norm.power_exponent() != 2.0:
         raise ValueError("kato_check requires the euclidean ambient norm")
     defect = selfadjoint_defect(p_family)
-    if defect > 1e-10:
+    if defect > SELFADJOINT_TOLERANCE:
         raise ValueError(f"base family is not selfadjoint (defect {defect:.3e})")
     return orlicz_stability_check(p_family, j_family, NormSpec.power(2.0))
 

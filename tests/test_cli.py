@@ -403,6 +403,14 @@ def test_c0_command(capsys, tmp_path):
     assert json.loads(out)["result"]["verdict"] == "similar"
 
 
+def test_c0_check_takes_no_C_flag(capsys):
+    # C comes from the scenario only; the flag is refused at parse time
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["c0-check", "--scenario", "@s.json", "--C", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --C 1" in capsys.readouterr().err
+
+
 def test_validate_command(capsys, family_file):
     rc, out, _ = run_cli(capsys, "validate", "--family", f"@{family_file}", "--format", "json")
     assert rc == 0
@@ -701,6 +709,10 @@ MALFORMED = {
                                 "bad gauge document: knots must be finite"),
     "delta2-grid-nan": (["delta2", "--phi", "power:2", "--grid", "0.5,nan,0.1"],
                         "grid must be strictly decreasing and positive"),
+    "delta2-grid-inf": (["delta2", "--phi", "power:2", "--grid", "inf,0.5"], "with finite points"),
+    "gauge-spec-overflowing-slope": (["norm", "--phi", "pwl:0,0;1e-320,1;1,3", "--x", "1,2"],
+                                     "bad gauge spec 'pwl:0,0;1e-320,1;1,3': knot slopes must be finite"),
+    "c0-check-without-C": (["c0-check", "--scenario", json.dumps(scenario())], "c0-check needs C in the scenario"),
     "type-cotype-unconditional-nan": (["type-cotype", "--family", json.dumps(family()), "--lp", "3",
                                        "--unconditional", "nan"], "unconditional constant is never below 1, got nan"),
     "type-cotype-lower-nan": (["type-cotype", "--family", json.dumps(family()), "--psi", "power:2", "--lower", "nan",
@@ -831,10 +843,11 @@ OUTPUT_DIGESTS = {
     ("validate", "text"): "a7e6cc521324ee23206a7e998b547dbb5f5d4285a6b40fd8a472ac46bcecf953",
     ("lambda", "json"): "a13febaf71bd9ea9d439eecfac9553786e8af032092bf6ef6fb253773a52862d",
     ("lambda", "text"): "664b27c451b5f8a1ce38e0f188c3052656749f5cbeb1615413bdc67d22b7d489",
-    # recorded while constants still ran the unit-disc-grid enumeration
-    ("constants", "json"): "e3053b06bd6ad148ea47291f9c505c19662282d0a3a16e67e3c2b0e497df70d0",
-    ("constants", "text"): "e38267d5e960d2efeebbfd9a99fd58c68580ebb755ff401c5b8f7dbbbdb4ebde",
-    ("constants", "csv"): "a5aab38724cd6025f95443380332418bfd60dcfc3da3994091a5572b7bf0875a",
+    # the besselian row holds 1/sqrt(lambda_max) = 0.8771571583501155; every
+    # other row is as recorded while constants ran the unit-disc-grid enumeration
+    ("constants", "json"): "359ad96be33bb3fd7c68d053cab996624ffdadf1da42db5d9194c80b9cfbddd8",
+    ("constants", "text"): "94b05a8fb9fd29a619c7769b95f9f320434d62bff27858481a4876b21b462c70",
+    ("constants", "csv"): "78e29e5e0e50230c4856f7de2250873ab2a91d763c85b9ac6f4b287f0242c539",
 }
 
 

@@ -1,5 +1,6 @@
 """Geometric constants: sign averages, unconditionality, frame bounds,
 sign-average comparison constants, and the block-norm sandwich."""
+import functools
 import itertools
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from schauderlab import geometry, orlicz, stability
+from schauderlab import geometry, orlicz
 from schauderlab.decomposition import ModelSpace, ProjectionFamily, make_coordinate_family, transport_family
 from schauderlab.errors import BudgetError
 from schauderlab.geometry import (
@@ -18,14 +19,20 @@ from schauderlab.geometry import (
     lp_sandwich_constants,
     min_max_sign_norm,
     or_type_probe,
+    perturbation_sigma,
     rademacher_average,
     riesz_constant,
     type_cotype_check,
     unconditional_constant,
 )
-from schauderlab.kernel import SAMPLED_LOWER_BOUND, SAMPLED_UPPER_BOUND, SPECTRAL_EXACT, unit_sphere_sampler
+from schauderlab.kernel import (
+    SAMPLED_LOWER_BOUND,
+    SAMPLED_UPPER_BOUND,
+    SPECTRAL_EXACT,
+    ConstantEstimate,
+    unit_sphere_sampler,
+)
 from schauderlab.orlicz import NormSpec, OrliczFunction, rowwise_norm, vector_norm
-from schauderlab.stability import perturbation_sigma
 
 L2 = NormSpec.power(2.0)
 
@@ -505,7 +512,7 @@ def test_besselian_oblique_against_circle_grid():
     quad = np.zeros(len(grid))
     for b in fam.blocks:
         quad += np.linalg.norm(grid @ b.T, axis=1) ** 2
-    assert est.value == pytest.approx(math.sqrt(float(quad.min())), rel=1e-6)
+    assert est.value == pytest.approx(1.0 / math.sqrt(float(quad.max())), rel=1e-6)
 
 
 def test_hilbertian_oblique_against_circle_grid():
@@ -581,10 +588,10 @@ def sigma_objective(p_family, j_family, psi):
 
     def capture(ratio, norm, dim, samples, seed, *, maximize):
         captured.append(ratio)
-        return 0.0, np.zeros(dim)
+        return ConstantEstimate(value=0.0, method=SAMPLED_LOWER_BOUND, witness=np.zeros(dim), trials=samples)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stability, "_sampled_extremum", capture)
+        mp.setattr(geometry, "_sampled_extremum", capture)
         perturbation_sigma(p_family, j_family, psi, samples=1)
     return captured[0]
 
@@ -737,10 +744,11 @@ def test_sampled_extremum_scores_its_samples_in_one_call():
         calls.append(len(rows))
         return geometry._profile_ratio(fam, L2, rows)
 
-    val, x = geometry._sampled_extremum(ratio, norm, fam.dim, 64, 7, maximize=False)
+    est = geometry._sampled_extremum(ratio, norm, fam.dim, 64, 7, maximize=False)
     assert calls[0] == 64 and max(calls[1:]) <= 3 * 2 * fam.dim
     xs = np.array(list(itertools.islice(unit_sphere_sampler(norm, fam.dim, 7), 64)))
-    assert val <= ratio(xs).min()
+    assert est.value <= ratio(xs).min()
+    assert est.method == SAMPLED_UPPER_BOUND and est.trials == 64
 
 
 # Values from the one-candidate-at-a-time implementation on the same inputs:
@@ -800,10 +808,11 @@ def test_sampled_constants_match_the_sequential_values(case):
 
 
 # riesz, hilbertian and besselian in l2 with psi = l2, then sigma against the
-# coordinate family: all four go through one Gram helper and stay bit for bit
+# coordinate family: all four go through one Gram helper, bit for bit; the
+# besselian constant is 1/sqrt(lambda_max), the value its witness replays to
 GRAM_REFERENCE = {
-    ("real", 21): (14.904378334759858, 1.4279065694098951, 0.7003259326786806, 2.019459740136489),
-    ("complex", 22): (65.1897179907317, 1.6014679699464, 0.6244270998648005, 3.0194759448795567),
+    ("real", 21): (14.904378334759858, 1.4279065694098951, 0.2590258257641613, 2.019459740136489),
+    ("complex", 22): (65.1897179907317, 1.6014679699464, 0.1238541174075346, 3.0194759448795567),
 }
 
 
@@ -819,6 +828,44 @@ def test_euclidean_gram_constants_are_unchanged(scalars, seed):
     )
     assert tuple(est.value for est in got) == GRAM_REFERENCE[(scalars, seed)]
     assert all(est.method == SPECTRAL_EXACT and est.trials == 0 for est in got)
+
+
+def gram_replay(est, blocks, norm, psi, *, ratio):
+    """||x|| / aggregate (ratio) or aggregate / ||x|| at the witness x, all by vector_norm."""
+    x = est.witness
+    aggregate = vector_norm(np.array([vector_norm(b @ x, norm) for b in blocks]), psi)
+    return vector_norm(x, norm) / aggregate if ratio else aggregate / vector_norm(x, norm)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("scalars", ["real", "complex"])
+def test_gram_constants_bound_the_sampled_extrema_of_their_objectives(scalars, seed):
+    # c, C and sigma in l2 with psi = l2 are ends of a Gram spectrum, so the
+    # sampled extremum of each one's objective cannot pass it, and each
+    # spectral witness replays to its value
+    fam = reference_family("l2", scalars, seed)
+    coord = reference_family("l2", scalars, seed, eps=0.0)
+    parts = coord.blocks[1:] @ (fam.blocks[1:] - coord.blocks[1:])
+    ratio = functools.partial(geometry._profile_ratio, fam, L2)
+    aggregate = functools.partial(geometry._block_aggregate, parts, norm=L2, psi=L2)
+    cases = [
+        (besselian_constant(fam, L2), fam.blocks, ratio, False),
+        (hilbertian_constant(fam, L2), fam.blocks, ratio, True),
+        (perturbation_sigma(coord, fam, L2), parts, aggregate, True),
+    ]
+    for exact, blocks, objective, maximize in cases:
+        assert exact.method == SPECTRAL_EXACT
+        replay = gram_replay(exact, blocks, L2, L2, ratio=objective is ratio)
+        assert replay == pytest.approx(exact.value, rel=1e-12)
+        sampled = geometry._sampled_extremum(objective, L2, fam.dim, 512, seed, maximize=maximize)
+        if maximize:
+            assert sampled.value <= exact.value * (1.0 + 1e-12)
+        else:
+            assert sampled.value >= exact.value * (1.0 - 1e-12)
+        # the sampler and the refinement move through real vectors only, so
+        # a complex family's sampled extremum may stay far from the spectral one
+        if scalars == "real":
+            assert sampled.value == pytest.approx(exact.value, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

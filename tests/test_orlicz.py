@@ -1,6 +1,7 @@
 """Gauges, Luxemburg norms and the doubling diagnostics."""
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,15 @@ def test_pwl_gauge_rejects_non_finite_knots(knots):
     # each shape check is "any(bad)", which a NaN never trips
     with pytest.raises(ValueError, match="knots must be finite"):
         OrliczFunction.piecewise_linear(knots)
+
+
+def test_pwl_gauge_rejects_an_overflowing_slope():
+    # finite knots across a subnormal abscissa gap: the slope overflows,
+    # which is refused without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="knot slopes must be finite"):
+            OrliczFunction.piecewise_linear([(0.0, 0.0), (1e-320, 1.0), (1.0, 3.0)])
 
 
 def test_pwl_gauge_rejects_flat_tail():
@@ -692,6 +702,12 @@ def test_delta2_refuses_a_nan_grid_point(grid):
     # the checks ask that every point be positive and every step fall, which a NaN fails
     with pytest.raises(ValueError, match="strictly decreasing and positive"):
         delta2_margin(OrliczFunction.power(2.0), grid)
+
+
+def test_delta2_refuses_an_infinite_grid_point():
+    # inf is positive and above every later point, so only finiteness refuses it
+    with pytest.raises(ValueError, match="with finite points"):
+        delta2_margin(OrliczFunction.power(2.0), [math.inf, 0.5])
 
 
 def test_divergence_witness_certifies_growth():

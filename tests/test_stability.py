@@ -902,6 +902,19 @@ def test_kato_rejects_oblique_base():
         kato_check(fam, fam)
 
 
+def test_kato_and_the_exact_unconditional_constant_share_one_orthogonality_test():
+    # moved by 1e-10, a coordinate family has selfadjoint defect 4.5e-10:
+    # above Kato's 1e-10 but below 1e-10 * N = 8e-10.  Kato refuses the base,
+    # so unconditional_constant samples it instead of calling it exactly 1
+    base = make_coordinate_family(ModelSpace(8, L2), [2, 2, 2, 2])
+    moved = perturbation_transport(base, 1e-10, 3)
+    with pytest.raises(ValueError, match="base family is not selfadjoint"):
+        kato_check(moved, moved)
+    est = unconditional_constant(moved)
+    assert est.method == SAMPLED_LOWER_BOUND and est.trials == 64
+    assert est.value == pytest.approx(1.0, abs=1e-8)
+
+
 def test_kato_large_perturbation_fails_hypothesis():
     space = ModelSpace(4, L2)
     fam = make_coordinate_family(space, [2, 2])
