@@ -236,6 +236,8 @@ def _cmd_sigma(args) -> None:
 
 def _cmd_kato(args) -> None:
     sc = scenario_from_doc(load_doc(args.scenario))
+    if sc.psi.power_exponent() != 2.0:
+        raise DocumentError(f"kato needs psi = power:2 in the scenario, got {json.dumps(norm_to_doc(sc.psi))}")
     _emit(args, "kato", stability.kato_check(sc.p_family, sc.j_family))
 
 
@@ -251,6 +253,8 @@ def _cmd_c0_check(args) -> None:
     sc = scenario_from_doc(load_doc(args.scenario))
     if sc.sup_bound is None:
         raise DocumentError("c0-check needs C in the scenario")
+    if sc.psi.variant != "max":
+        raise DocumentError(f"c0-check needs psi = max in the scenario, got {json.dumps(norm_to_doc(sc.psi))}")
     report = stability.c0_stability_check(
         sc.p_family, sc.j_family, sc.sup_bound, samples=args.samples, seed=args.seed
     )

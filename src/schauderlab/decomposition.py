@@ -238,5 +238,13 @@ def selfadjoint_defect(family: ProjectionFamily) -> float:
     return spectral_norm(b - np.swapaxes(b.conj(), 1, 2))
 
 
+def _check_pair(p_family: ProjectionFamily, j_family: ProjectionFamily) -> None:
+    """The pair rule: one ModelSpace (dimension, norm, scalars) and one block count."""
+    if p_family.space != j_family.space:
+        raise ValueError(f"P and J live in different spaces: {p_family.space} and {j_family.space}")
+    if p_family.block_count != j_family.block_count:
+        raise ValueError(f"P has {p_family.block_count} blocks but J has {j_family.block_count}")
+
+
 def family_rank(block: np.ndarray) -> int:
     return int(_rank(np.linalg.svd(np.asarray(block), compute_uv=False)))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomposition import ModelSpace, ProjectionFamily, Subspace, make_coordinate_family, transport_family
+from .decomposition import ModelSpace, ProjectionFamily, Subspace, _check_pair, make_coordinate_family, transport_family
 from .errors import DocumentError
 from .orlicz import NormSpec, OrliczFunction
 
@@ -264,6 +264,8 @@ def scenario_from_doc(doc: dict, *, epsilon_override: float | None = None) -> St
         j_family = perturbation_transport(p_family, epsilon, transport_seed)
     else:
         j_family = family_from_doc(j_doc)
+    with _reading("scenario document"):
+        _check_pair(p_family, j_family)
     with _reading("C value"):
         sup_bound = float(doc["C"]) if "C" in doc else None
     return StabilityScenario(p_family=p_family, j_family=j_family, psi=psi, sup_bound=sup_bound)

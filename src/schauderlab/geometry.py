@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .decomposition import SELFADJOINT_TOLERANCE, ProjectionFamily, selfadjoint_defect
+from .decomposition import SELFADJOINT_TOLERANCE, ProjectionFamily, _check_pair, selfadjoint_defect
 from .errors import BudgetError
 from .kernel import (
     EXACT_ENUMERATION,
@@ -24,6 +24,7 @@ from .kernel import (
     SPECTRAL_EXACT,
     ConstantEstimate,
     _check_samples,
+    _sampled_search,
     _span_rows,
     unit_sphere_sampler,
 )
@@ -349,24 +350,19 @@ def _sampled_extremum(
     ratio, norm: NormSpec, dim: int, samples: int, seed: int, *, maximize: bool
 ) -> ConstantEstimate:
     """Extreme of the row objective ``ratio`` over a seeded unit-sphere
-    sample, as an estimate with ``trials`` = samples.
-
-    The samples are scored by one ``ratio`` call and stably sorted; the
-    three best are refined by one lockstep coordinate search, each along
-    its own sequential trajectory (_coordinate_refine).  The best value
-    seen and its vector are returned; a tie keeps the best sample, then
-    the earlier refined start.  A sampled supremum is a lower bound and a
+    sample (kernel._sampled_search), its three best refined by one lockstep
+    coordinate search, each along its own sequential trajectory
+    (_coordinate_refine).  Returns the best value seen and its vector, a tie
+    keeping the best sample, then the earlier refined start; ``trials``
+    counts the samples kept.  A sampled supremum is a lower bound and a
     sampled infimum an upper bound, and the tag says which.
     """
-    xs = np.array(list(itertools.islice(unit_sphere_sampler(norm, dim, seed), samples)))
-    scored = sorted(zip(ratio(xs).tolist(), xs), key=lambda t: t[0], reverse=maximize)
-    best_val, best_x = scored[0]
-    points, values = _coordinate_refine(ratio, np.array([x for _, x in scored[:3]]), norm, maximize=maximize)
-    for xr, vr in zip(points, values.tolist()):
-        if (vr > best_val) if maximize else (vr < best_val):
-            best_val, best_x = vr, xr
+    ranked = _sampled_search(ratio, norm, dim, samples, seed, maximize=maximize)
+    points, values = _coordinate_refine(ratio, np.array([x for _, x in ranked[:3]]), norm, maximize=maximize)
+    # max and min return the first of equal values
+    best_val, best_x = (max if maximize else min)([ranked[0], *zip(values.tolist(), points)], key=lambda t: t[0])
     method = SAMPLED_LOWER_BOUND if maximize else SAMPLED_UPPER_BOUND
-    return ConstantEstimate(value=best_val, method=method, witness=best_x, trials=samples)
+    return ConstantEstimate(value=best_val, method=method, witness=best_x, trials=len(ranked))
 
 
 def _ratio_constant(
@@ -427,8 +423,7 @@ def perturbation_sigma(
     a sampled lower bound polished by coordinate ascent, as in
     hilbertian_constant.
     """
-    if p_family.dim != j_family.dim or p_family.block_count != j_family.block_count:
-        raise ValueError("families must share dimension and block count")
+    _check_pair(p_family, j_family)
     _check_samples(samples, 1)
     norm = p_family.space.norm
     n = p_family.dim

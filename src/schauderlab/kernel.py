@@ -1,6 +1,6 @@
 """Shared numerical services: inversion, operator norms,
-unit-sphere sampling, and the estimate container used by every constant
-computed in this package.
+unit-sphere sampling and the one sampled search over the sphere, and the
+estimate container used by every constant computed in this package.
 
 Tolerance policy: relative 1e-9 (REL_TOL) unless an operation states a
 tighter bound.  The absolute 1e-12 bracket of the Luxemburg solver is
@@ -14,6 +14,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .orlicz import NormSpec, rowwise_norm, vector_norm
 
 REL_TOL = 1e-9
@@ -22,6 +23,8 @@ COND_LIMIT = 1e12
 # operator_norm's sampled lower bound, where no exact formula applies
 OPERATOR_NORM_SAMPLES = 64
 OPERATOR_NORM_SEED = 0
+# a sampled search stops drawing after this many draws per sample
+_DRAWS_PER_SAMPLE = 20
 
 # Every method tag a report carries.  Reports must never claim more than
 # the computation delivered, so the tag is part of the result.
@@ -175,6 +178,24 @@ def unit_sphere_sampler(norm: NormSpec, dim: int, seed: int) -> Iterator[np.ndar
         rows = min(2 * rows, 256)
 
 
+def _sampled_search(objective, norm: NormSpec, dim: int, samples: int, seed: int, *, maximize: bool) -> list:
+    """The (value, vector) pairs of a seeded unit-sphere sample, ranked best
+    first by a stable sort; ``objective`` maps a stack of vectors to one
+    value per row.  A draw scored NaN is replaced by the next draws of the
+    same stream, one call per refill, until ``samples`` are kept or
+    _DRAWS_PER_SAMPLE * samples are drawn (ConvergenceError if none is kept)."""
+    sampler, kept, drawn = unit_sphere_sampler(norm, dim, seed), [], 0
+    # each refill draws only as many as are still missing, so the stream is
+    # read exactly as far as drawing one vector at a time reads it
+    while len(kept) < samples and drawn < _DRAWS_PER_SAMPLE * samples:
+        batch = [next(sampler) for _ in range(min(samples - len(kept), _DRAWS_PER_SAMPLE * samples - drawn))]
+        drawn += len(batch)
+        kept += [(v, x) for v, x in zip(objective(np.array(batch)).tolist(), batch) if not math.isnan(v)]
+    if not kept:
+        raise ConvergenceError(f"no sampled vector got a value in {drawn} draws")
+    return sorted(kept, key=lambda t: t[0], reverse=maximize)
+
+
 def operator_norm(matrix: np.ndarray, norm: NormSpec) -> ConstantEstimate:
     """Operator norm of a matrix acting on the given ambient norm.
 
@@ -208,13 +229,12 @@ def operator_norm(matrix: np.ndarray, norm: NormSpec) -> ConstantEstimate:
         return ConstantEstimate(value=float(sums[i]), method=EXACT_ENUMERATION, witness=witness, trials=n)
 
     # Remaining ambients: sampled lower bound plus an equivalence-factor
-    # certified upper bound.  The samples are scored by one rowwise_norm
-    # call; the first largest one is the witness.
-    sampler = unit_sphere_sampler(norm, n, OPERATOR_NORM_SEED)
-    xs = np.array([next(sampler) for _ in range(OPERATOR_NORM_SAMPLES)])
-    vals = rowwise_norm(xs @ m.T, norm)
-    i = int(np.argmax(vals))
-    best_val, best_x = float(vals[i]), xs[i]
+    # certified upper bound.  The first largest sampled image norm is the
+    # lower bound, its vector the witness.
+    ranked = _sampled_search(
+        lambda xs: rowwise_norm(xs @ m.T, norm), norm, n, OPERATOR_NORM_SAMPLES, OPERATOR_NORM_SEED, maximize=True
+    )
+    best_val, best_x = ranked[0]
     if p is not None:
         # ||T||_p <= N^{|1/2-1/p|} ||T||_2 via the lp <-> l2 comparison.
         factor = float(n) ** abs(0.5 - 1.0 / p)
@@ -233,6 +253,6 @@ def operator_norm(matrix: np.ndarray, norm: NormSpec) -> ConstantEstimate:
         value=float(upper),
         method=CERTIFIED_UPPER_BOUND,
         witness=best_x,
-        trials=OPERATOR_NORM_SAMPLES,
+        trials=len(ranked),
         lower_bound=best_val,
     )

@@ -18,9 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import SELFADJOINT_TOLERANCE, ProjectionFamily, Subspace, _rank, family_rank, range_subspace
-from .decomposition import selfadjoint_defect
-from .errors import ConvergenceError
+from .decomposition import SELFADJOINT_TOLERANCE, ProjectionFamily, Subspace, _check_pair, _rank, family_rank
+from .decomposition import range_subspace, selfadjoint_defect
 from .geometry import hilbertian_constant, perturbation_sigma
 from .kernel import (
     CERTIFIED_LOWER_BOUND,
@@ -32,11 +31,11 @@ from .kernel import (
     SUPPLIED,
     ConstantEstimate,
     _check_samples,
+    _sampled_search,
     _span_rows,
     invert_with_condition,
     operator_norm,
     spectral_norm,
-    unit_sphere_sampler,
 )
 from .orlicz import NormSpec, rowwise_norm
 
@@ -514,36 +513,25 @@ def build_similarity(p_family: ProjectionFamily, j_family: ProjectionFamily) -> 
     exactly when that residual is below 1e-8 * (1 + cond(S)).  A
     singular S is a verdict, not an exception.
     """
-    if p_family.dim != j_family.dim or p_family.block_count != j_family.block_count:
-        raise ValueError("families must share dimension and block count")
-    n = p_family.dim
-    ambient = p_family.space.norm
+    _check_pair(p_family, j_family)
     p, j = p_family.blocks, j_family.blocks
     products = p @ j
     s_matrix = products.sum(axis=0)
-    remainder = np.eye(n) - p[0] - (s_matrix - products[0])
-    r_est = operator_norm(remainder, ambient)
+    r_est = operator_norm(np.eye(p_family.dim) - p[0] - (s_matrix - products[0]), p_family.space.norm)
 
     inv = invert_with_condition(s_matrix)
-    if inv.singular:
-        return StabilityReport(
-            verdict="not invertible",
-            s_matrix=s_matrix,
-            s_condition=inv.condition,
-            r_norm=r_est.value,
-            r_norm_method=r_est.method,
-            similarity_residual=None,
-            residual_tolerance=None,
-        )
-    residual = spectral_norm(j - inv.inverse @ p @ s_matrix)
-    tol = RESIDUAL_TOLERANCE * (1.0 + inv.condition)
+    verdict, residual, tol = "not invertible", None, None
+    if not inv.singular:
+        residual = spectral_norm(j - inv.inverse @ p @ s_matrix)
+        tol = RESIDUAL_TOLERANCE * (1.0 + inv.condition)
+        verdict = "similar" if residual <= tol else "residual too large"
     return StabilityReport(
-        verdict="similar" if residual <= tol else "residual too large",
+        verdict=verdict,
         s_matrix=s_matrix,
         s_condition=inv.condition,
         r_norm=r_est.value,
         r_norm_method=r_est.method,
-        similarity_residual=float(residual),
+        similarity_residual=residual,
         residual_tolerance=tol,
     )
 
@@ -633,8 +621,10 @@ def reduced_minimum_modulus(
 
     Exact in the euclidean ambient (the smallest nonzero singular
     value).  In other norms the infimum of ||Tx|| / dist(x, ker T) is
-    sampled, which can only overestimate, and the tag says so.  The zero
-    matrix has no reduced modulus; None is returned rather than raising.
+    sampled (kernel._sampled_search), which can only overestimate, and the
+    tag says so; draws within 1e-8 of the kernel are replaced by later ones,
+    and ``trials`` counts the draws kept.  The zero matrix has no reduced
+    modulus; None is returned rather than raising.
     """
     t = np.asarray(matrix)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -651,25 +641,12 @@ def reduced_minimum_modulus(
         witness = vh[rank - 1].conj()
         return ConstantEstimate(value=gamma, method=SPECTRAL_EXACT, witness=witness, trials=0)
 
-    sampler = unit_sphere_sampler(norm, t.shape[0], seed)
-    best = math.inf
-    best_x = None
-    tried = 0
-    drawn = 0
-    # draw only as many as are still needed, so the stream is consumed
-    # exactly as one draw at a time would consume it
-    while tried < samples and drawn < 20 * samples:
-        batch = [next(sampler) for _ in range(min(samples - tried, 20 * samples - drawn))]
-        drawn += len(batch)
-        xs = np.array(batch)
-        dists = _nearest_rows(xs, kernel, norm)[0] if kernel.shape[1] > 0 else [1.0] * len(batch)
-        for x, image, dist in zip(batch, rowwise_norm(xs @ t.T, norm), dists):
-            if dist <= 1e-8:
-                continue
-            tried += 1
-            val = float(image) / dist
-            if val < best:
-                best, best_x = val, x
-    if best_x is None:
-        raise ConvergenceError("no sample stayed clear of the kernel")
-    return ConstantEstimate(value=best, method=SAMPLED_UPPER_BOUND, witness=best_x, trials=tried)
+    # ||Tx|| / dist(x, ker T) for every row, NaN within 1e-8 of the kernel
+    def ratio(xs: np.ndarray) -> np.ndarray:
+        dists = np.array(_nearest_rows(xs, kernel, norm)[0]) if kernel.shape[1] > 0 else np.ones(len(xs))
+        images = rowwise_norm(xs @ t.T, norm)
+        return np.divide(images, dists, out=np.full(images.shape, math.nan), where=dists > 1e-8)
+
+    ranked = _sampled_search(ratio, norm, t.shape[0], samples, seed, maximize=False)
+    best, best_x = ranked[0]
+    return ConstantEstimate(value=best, method=SAMPLED_UPPER_BOUND, witness=best_x, trials=len(ranked))

@@ -713,6 +713,20 @@ MALFORMED = {
     "gauge-spec-overflowing-slope": (["norm", "--phi", "pwl:0,0;1e-320,1;1,3", "--x", "1,2"],
                                      "bad gauge spec 'pwl:0,0;1e-320,1;1,3': knot slopes must be finite"),
     "c0-check-without-C": (["c0-check", "--scenario", json.dumps(scenario())], "c0-check needs C in the scenario"),
+    # the pair rule: an explicit J lives in P's space and has P's block count
+    "scenario-J-other-norm": (kato(scenario(J=family(norm={"variant": "max"}))),
+                              "bad scenario document: P and J live in different spaces"),
+    "scenario-J-complex": (["similarity", "--scenario", json.dumps(scenario(J=family(scalars="complex")))],
+                           "bad scenario document: P and J live in different spaces"),
+    "scenario-J-blocks": (["sigma", "--scenario", json.dumps(scenario(J=family(coordinate_blocks=[1, 1, 2])))],
+                          "bad scenario document: P has 2 blocks but J has 3"),
+    "sweep-J-other-norm": (sweep(scenario(J=family(norm={"variant": "max"}))),
+                           "bad scenario document: P and J live in different spaces"),
+    # kato runs the l2 aggregate and c0-check the sup aggregate, whatever the scenario says
+    "kato-psi-max": (kato(scenario(psi={"variant": "max"})),
+                     'kato needs psi = power:2 in the scenario, got {"variant": "max"}'),
+    "c0-check-psi-l2": (["c0-check", "--scenario", json.dumps(scenario(P=family(norm={"variant": "max"}), C=1.0))],
+                        'c0-check needs psi = max in the scenario, got {"variant": "power", "p": 2.0}'),
     "type-cotype-unconditional-nan": (["type-cotype", "--family", json.dumps(family()), "--lp", "3",
                                        "--unconditional", "nan"], "unconditional constant is never below 1, got nan"),
     "type-cotype-lower-nan": (["type-cotype", "--family", json.dumps(family()), "--psi", "power:2", "--lower", "nan",

@@ -710,7 +710,7 @@ def test_never_accepting_refinement_costs_one_call_per_round(monkeypatch):
             yield x
 
     monkeypatch.setattr(geometry, "_profile_ratio", counting)
-    monkeypatch.setattr(geometry, "unit_sphere_sampler", counting_sampler)
+    monkeypatch.setattr("schauderlab.kernel.unit_sphere_sampler", counting_sampler)
     assert not hasattr(geometry, "vector_norm")
     est = hilbertian_constant(fam, norm, samples=16, seed=5)
     assert est.value == pytest.approx(1.0, rel=1e-14)

@@ -3,6 +3,7 @@ diagnostics, samplers."""
 
 import ast
 import dataclasses
+import inspect
 import math
 import sys
 from pathlib import Path
@@ -20,11 +21,13 @@ from schauderlab.decomposition import (
     validate_family,
 )
 from schauderlab.documents import perturbation_transport
+from schauderlab.errors import ConvergenceError
 from schauderlab.kernel import (
     CERTIFIED_UPPER_BOUND,
     EXACT_ENUMERATION,
     SPECTRAL_EXACT,
     ConstantEstimate,
+    _sampled_search,
     _span_rows,
     invert_with_condition,
     operator_norm,
@@ -427,6 +430,87 @@ def test_kernel_imports_only_at_module_level():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert nested == []
+
+
+# ---------------------------------------------------------------------------
+# the sampled search
+
+
+def scripted_stream(monkeypatch, values):
+    """The sampler replaced by one 1-vector per value; returns the vectors
+    and the list the draws are appended to."""
+    stream = [np.array([v]) for v in values]
+    drawn = []
+
+    def sampler(norm, dim, seed):
+        for x in stream:
+            drawn.append(x)
+            yield x
+
+    monkeypatch.setattr(kernel, "unit_sphere_sampler", sampler)
+    return stream, drawn
+
+
+def first_entry(calls):
+    """A row objective that records its batch sizes: each row's entry, NaN
+    where it is negative."""
+
+    def objective(xs):
+        calls.append(len(xs))
+        return np.where(xs[:, 0] >= 0, xs[:, 0], math.nan)
+
+    return objective
+
+
+def test_sampled_search_refills_nan_draws_from_the_same_stream(monkeypatch):
+    # 3 samples: the first batch of 3 keeps 1, the refill of 2 keeps 1, the
+    # refill of 1 keeps the last; the stream is read no further
+    stream, drawn = scripted_stream(monkeypatch, [-1.0, 2.0, -3.0, 4.0, -5.0, 6.0, 7.0])
+    calls = []
+    ranked = _sampled_search(first_entry(calls), NormSpec.power(3.0), 1, 3, 0, maximize=True)
+    assert calls == [3, 2, 1]
+    assert len(drawn) == 6
+    assert [v for v, _ in ranked] == [6.0, 4.0, 2.0]
+    assert all(isinstance(v, float) for v, _ in ranked)
+    assert [x for _, x in ranked] == [stream[5], stream[3], stream[1]]
+    assert all(x is stream[i] for (_, x), i in zip(ranked, (5, 3, 1)))
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+def test_sampled_search_ties_keep_the_earlier_draw(monkeypatch, maximize):
+    stream, _ = scripted_stream(monkeypatch, [1.0, 3.0, 1.0, 3.0])
+    ranked = _sampled_search(first_entry([]), NormSpec.power(3.0), 1, 4, 0, maximize=maximize)
+    order = (1, 3, 0, 2) if maximize else (0, 2, 1, 3)
+    assert all(x is stream[i] for (_, x), i in zip(ranked, order))
+
+
+def test_sampled_search_keeps_what_it_found_within_twenty_draws_per_sample(monkeypatch):
+    _, drawn = scripted_stream(monkeypatch, [-1.0] * 39 + [5.0, 6.0])
+    calls = []
+    ranked = _sampled_search(first_entry(calls), NormSpec.power(3.0), 1, 2, 0, maximize=False)
+    assert len(drawn) == 40 and calls == [2] * 20
+    assert [v for v, _ in ranked] == [5.0]
+
+
+def test_sampled_search_raises_when_no_draw_is_kept(monkeypatch):
+    _, drawn = scripted_stream(monkeypatch, [-1.0] * 100)
+    with pytest.raises(ConvergenceError):
+        _sampled_search(first_entry([]), NormSpec.power(3.0), 1, 2, 0, maximize=True)
+    assert len(drawn) == 40
+
+
+def test_sphere_searches_go_through_the_sampled_search():
+    # the three sup/inf searches with no closed form each make one call to
+    # the one helper, and none draws from the sampler itself
+    for fn in (geometry._sampled_extremum, operator_norm, stability.reduced_minimum_modulus):
+        called = [
+            node.func.id
+            for node in ast.walk(ast.parse(inspect.getsource(fn).lstrip()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        ]
+        assert called.count("_sampled_search") == 1, fn.__name__
+        assert "unit_sphere_sampler" not in called, fn.__name__
+    assert not hasattr(stability, "unit_sphere_sampler")
 
 
 # ---------------------------------------------------------------------------

@@ -540,7 +540,7 @@ def test_gamma_draws_only_the_samples_it_needs(monkeypatch):
     in_kernel = [np.array([0.0, 0.0, 0.6, -0.8]), np.array([0.0, 0.0, 1.0, 0.0])]
     stream = [in_kernel[0], kept[0], kept[1], in_kernel[1], kept[2], kept[3], kept[4], kept[5], in_kernel[0]]
     drawn = []
-    monkeypatch.setattr(stability, "unit_sphere_sampler", scripted_sampler(stream, drawn))
+    monkeypatch.setattr("schauderlab.kernel.unit_sphere_sampler", scripted_sampler(stream, drawn))
     est = reduced_minimum_modulus(t, norm, samples=3, seed=0)
     assert len(drawn) == 5
     assert est.trials == 3
@@ -553,7 +553,7 @@ def test_gamma_gives_up_after_twenty_draws_per_sample(monkeypatch):
     t = np.diag([1.0, 0.0])
     drawn = []
     stream = [np.array([0.0, 1.0])] * 100
-    monkeypatch.setattr(stability, "unit_sphere_sampler", scripted_sampler(stream, drawn))
+    monkeypatch.setattr("schauderlab.kernel.unit_sphere_sampler", scripted_sampler(stream, drawn))
     with pytest.raises(ConvergenceError):
         reduced_minimum_modulus(t, NormSpec.power(3.0), samples=2, seed=0)
     assert len(drawn) == 40
