@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .decomposition import SELFADJOINT_TOLERANCE, ProjectionFamily, _check_pair, selfadjoint_defect
-from .errors import BudgetError
+from .errors import BudgetError, ConvergenceError
 from .kernel import (
     EXACT_ENUMERATION,
     REL_TOL,
@@ -152,7 +152,7 @@ def min_max_sign_norm(vectors: Sequence[np.ndarray], norm: NormSpec, mode: str) 
     maximize = mode == "max"
     best, witness = (-math.inf if maximize else math.inf), None
     for signs in _sign_chunks(n):
-        idx, norms = _extreme_rows(signs @ x, norm, maximize)
+        ((idx, norms),) = _extreme_rows([signs @ x], norm, maximize)
         i = int(np.argmax(norms) if maximize else np.argmin(norms))
         if (norms[i] > best) if maximize else (norms[i] < best):
             best, witness = float(norms[i]), signs[idx[i]].copy()
@@ -197,8 +197,11 @@ def unconditional_constant(
     returns exactly what signs returns.  For a complex family that is a
     lower bound on the constant over the complex unit disc.  Of each
     sample's chunk of patterns only those whose convexity bounds can reach
-    its largest norm are solved (orlicz._extreme_rows); the value and the
+    its largest norm are solved (orlicz._extreme_rows), in a Luxemburg
+    ambient those of every sample in one row call; the value and the
     witness are those of a full evaluation, and ``trials`` counts samples.
+    A sample whose blocks sum to 0 has no ratio; ConvergenceError when no
+    sample has one.
     """
     k = family.block_count
     if k > COEFFICIENT_BUDGET:
@@ -214,16 +217,17 @@ def unconditional_constant(
     xs = list(itertools.islice(unit_sphere_sampler(norm, family.dim, seed), samples))
     tuples = [family.blocks @ x for x in xs]
     denoms = rowwise_norm(np.array([t.sum(axis=0) for t in tuples]), norm)
+    live = np.flatnonzero(denoms > 0).tolist()
+    if not live:
+        raise ConvergenceError(f"the blocks of no sampled vector sum to a nonzero vector in {samples} samples")
     # each chunk is made once and scanned for every sample, which keeps its
     # first largest ratio; the first sample with the largest one then gives
     # what scanning every chunk for one sample after another gives
     best = [(-math.inf, None)] * samples
     for coeffs in _coefficient_chunks(coefficient_set, k):
-        for s, (tuple_rows, denom) in enumerate(zip(tuples, denoms)):
-            if denom <= 0:
-                continue
-            idx, norms = _extreme_rows(coeffs @ tuple_rows, norm, maximize=True)
-            ratios = norms / denom
+        extremes = _extreme_rows((coeffs @ tuples[s] for s in live), norm, maximize=True)
+        for s, (idx, norms) in zip(live, extremes):
+            ratios = norms / denoms[s]
             i = int(np.argmax(ratios))
             if ratios[i] > best[s][0]:
                 best[s] = (float(ratios[i]), coeffs[idx[i]].copy())
@@ -232,7 +236,7 @@ def unconditional_constant(
     return ConstantEstimate(
         value=value,
         method=SAMPLED_LOWER_BOUND,
-        witness=None if coeffs is None else {"coefficients": coeffs, "x": xs[s].copy()},
+        witness={"coefficients": coeffs, "x": xs[s].copy()},
         trials=samples,
     )
 

@@ -80,7 +80,6 @@ class InversionResult:
     inverse: np.ndarray | None
     condition: float
     singular: bool
-    residual: float = 0.0
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
@@ -135,8 +134,7 @@ def invert_with_condition(matrix: np.ndarray) -> InversionResult:
     if condition >= COND_LIMIT:
         return InversionResult(inverse=None, condition=condition, singular=True)
     inv = np.linalg.solve(m, np.eye(m.shape[0], dtype=m.dtype))
-    residual = spectral_norm(m @ inv - np.eye(m.shape[0]))
-    return InversionResult(inverse=inv, condition=condition, singular=False, residual=residual)
+    return InversionResult(inverse=inv, condition=condition, singular=False)
 
 
 def _check_samples(samples: int, least: int) -> None:
@@ -183,17 +181,31 @@ def _sampled_search(objective, norm: NormSpec, dim: int, samples: int, seed: int
     first by a stable sort; ``objective`` maps a stack of vectors to one
     value per row.  A draw scored NaN is replaced by the next draws of the
     same stream, one call per refill, until ``samples`` are kept or
-    _DRAWS_PER_SAMPLE * samples are drawn (ConvergenceError if none is kept)."""
-    sampler, kept, drawn = unit_sphere_sampler(norm, dim, seed), [], 0
+    _DRAWS_PER_SAMPLE * samples are drawn (ConvergenceError if none is kept).
+
+    An objective that gives one row of values per member of a stack of
+    objectives gets one ranking per member, each the one it gets searched
+    alone: a member keeps its first ``samples`` draws not scored NaN among
+    the first _DRAWS_PER_SAMPLE * samples, and refills go on while any
+    member is short."""
+    sampler, kept, drawn, cap = unit_sphere_sampler(norm, dim, seed), None, 0, _DRAWS_PER_SAMPLE * samples
     # each refill draws only as many as are still missing, so the stream is
     # read exactly as far as drawing one vector at a time reads it
-    while len(kept) < samples and drawn < _DRAWS_PER_SAMPLE * samples:
-        batch = [next(sampler) for _ in range(min(samples - len(kept), _DRAWS_PER_SAMPLE * samples - drawn))]
+    missing = samples
+    while missing and drawn < cap:
+        batch = [next(sampler) for _ in range(min(missing, cap - drawn))]
         drawn += len(batch)
-        kept += [(v, x) for v, x in zip(objective(np.array(batch)).tolist(), batch) if not math.isnan(v)]
-    if not kept:
+        scores = objective(np.array(batch))
+        rows = scores.reshape(-1, len(batch)).tolist()
+        if kept is None:
+            kept = [[] for _ in rows]
+        for member, values in zip(kept, rows):
+            member += [(v, x) for v, x in zip(values, batch) if not math.isnan(v)][: samples - len(member)]
+        missing = samples - min(map(len, kept))
+    if not (kept and all(kept)):
         raise ConvergenceError(f"no sampled vector got a value in {drawn} draws")
-    return sorted(kept, key=lambda t: t[0], reverse=maximize)
+    ranked = [sorted(member, key=lambda t: t[0], reverse=maximize) for member in kept]
+    return ranked if scores.ndim == 2 else ranked[0]
 
 
 def operator_norm(matrix: np.ndarray, norm: NormSpec) -> ConstantEstimate:
@@ -206,53 +218,67 @@ def operator_norm(matrix: np.ndarray, norm: NormSpec) -> ConstantEstimate:
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("operator_norm expects a square matrix")
-    n = m.shape[0]
     if not isinstance(norm, NormSpec):
         raise TypeError("norm must be a NormSpec")
+    return _operator_norms(m[None], norm)[0]
 
-    p = norm.power_exponent()
+
+def _exact_operator_norm(m: np.ndarray, p: float | None) -> ConstantEstimate:
+    """The spectral norm (p = 2), the largest column sum (p = 1) or else the
+    largest row sum (max), each with a vector that attains it."""
     if p == 2.0:
         u, s, vh = np.linalg.svd(m)
         witness = vh[0].conj()
         return ConstantEstimate(value=float(s[0]), method=SPECTRAL_EXACT, witness=witness)
+    n = m.shape[0]
     if p == 1.0:
         sums = np.abs(m).sum(axis=0)
         j = int(np.argmax(sums))
         e = np.zeros(n, dtype=m.dtype)
         e[j] = 1.0
         return ConstantEstimate(value=float(sums[j]), method=EXACT_ENUMERATION, witness=e, trials=n)
-    if norm.variant == "max":
-        sums = np.abs(m).sum(axis=1)
-        i = int(np.argmax(sums))
-        row = m[i]
-        witness = np.where(np.abs(row) > 0, np.sign(np.conj(row)), 1.0)
-        return ConstantEstimate(value=float(sums[i]), method=EXACT_ENUMERATION, witness=witness, trials=n)
+    sums = np.abs(m).sum(axis=1)
+    i = int(np.argmax(sums))
+    row = m[i]
+    witness = np.where(np.abs(row) > 0, np.sign(np.conj(row)), 1.0)
+    return ConstantEstimate(value=float(sums[i]), method=EXACT_ENUMERATION, witness=witness, trials=n)
+
+
+def _operator_norms(stack: np.ndarray, norm: NormSpec) -> list[ConstantEstimate]:
+    """operator_norm of every matrix of a (K, n, n) stack, each equal to its
+    own call bit for bit.  Outside the exact ambients every member is
+    scored against one sampled search, one row call per refill for all."""
+    n = stack.shape[-1]
+    p = norm.power_exponent()
+    if p in (1.0, 2.0) or norm.variant == "max":
+        return [_exact_operator_norm(m, p) for m in stack]
 
     # Remaining ambients: sampled lower bound plus an equivalence-factor
     # certified upper bound.  The first largest sampled image norm is the
     # lower bound, its vector the witness.
-    ranked = _sampled_search(
-        lambda xs: rowwise_norm(xs @ m.T, norm), norm, n, OPERATOR_NORM_SAMPLES, OPERATOR_NORM_SEED, maximize=True
+    rankings = _sampled_search(
+        lambda xs: rowwise_norm(np.concatenate([xs @ m.T for m in stack]), norm).reshape(len(stack), -1),
+        norm, n, OPERATOR_NORM_SAMPLES, OPERATOR_NORM_SEED, maximize=True,
     )
-    best_val, best_x = ranked[0]
     if p is not None:
         # ||T||_p <= N^{|1/2-1/p|} ||T||_2 via the lp <-> l2 comparison.
         factor = float(n) ** abs(0.5 - 1.0 / p)
-        upper = factor * float(np.linalg.svd(m, compute_uv=False)[0])
+        uppers = [factor * float(np.linalg.svd(m, compute_uv=False)[0]) for m in stack]
     else:
         # Monotone gauge norms sit between multiples of the max norm:
         # b*||x||_inf <= ||x|| <= B*||x||_inf with b, B as below, hence
         # ||T|| <= (B/b) * ||T||_inf.
         e = np.zeros(n)
         e[0] = 1.0
-        b = vector_norm(e, norm)
-        big = vector_norm(np.ones(n), norm)
-        upper = (big / b) * float(np.abs(m).sum(axis=1).max())
-    upper = max(upper, best_val)
-    return ConstantEstimate(
-        value=float(upper),
-        method=CERTIFIED_UPPER_BOUND,
-        witness=best_x,
-        trials=len(ranked),
-        lower_bound=best_val,
-    )
+        ratio = vector_norm(np.ones(n), norm) / vector_norm(e, norm)
+        uppers = [ratio * float(np.abs(m).sum(axis=1).max()) for m in stack]
+    return [
+        ConstantEstimate(
+            value=float(max(upper, ranked[0][0])),
+            method=CERTIFIED_UPPER_BOUND,
+            witness=ranked[0][1],
+            trials=len(ranked),
+            lower_bound=ranked[0][0],
+        )
+        for upper, ranked in zip(uppers, rankings)
+    ]

@@ -22,14 +22,16 @@ the relative tolerance shared by the other modules is kernel.REL_TOL.
 The extremes over many rows that the enumerations in geometry take
 (unconditional constants, extreme sign norms) solve only the rows that
 can reach the extreme (_extreme_rows): for a Luxemburg norm those whose
-closed-form convexity bounds reach it, for an lp norm with an integer
-p >= 3 those whose p-th power sums, taken by products, come near it.
+closed-form convexity bounds reach it, gathered from several matrices
+into one solve with each run of tied rows solved once, for an lp norm
+with an integer p >= 3 those whose p-th power sums, taken by products,
+come near it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -395,38 +397,82 @@ _PRUNE_REL = 1e-9
 _PRUNE_ABS = 2.0 * ABS_TOL
 
 
-def _extreme_rows(rows: np.ndarray, spec: NormSpec, maximize: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Every row that can attain the largest (or smallest) norm: their
-    indices, ascending, and their norms, equal to rowwise_norm(rows)[idx].
+def _extreme_rows(
+    matrices: Iterable[np.ndarray], spec: NormSpec, maximize: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each matrix in turn, every row that can attain its largest (or
+    smallest) norm: their indices, ascending, and their norms, equal to
+    rowwise_norm(matrix)[idx].
 
     Only the rows that can reach the extreme, within the _PRUNE_REL guard,
-    are solved, through rowwise_norm.  For a Luxemburg norm these are the
-    rows whose _luxemburg_bounds reach the best opposite bound.  For an lp
-    norm with an integer p >= 3 they are the rows whose _power_sums lie
-    within the guard of the extreme sum (_power_candidates).  Every
-    other closed form (p in {1, 2}, p not an integer, max) returns every
-    row.  Rows are solved independently of each other, so the first
-    extreme of the returned norms is the first extreme of all rows.
+    are solved, through rowwise_norm.  For an lp norm with an integer
+    p >= 3 these are the rows whose _power_sums lie within the guard of the
+    extreme sum (_power_candidates); every other closed form (p in {1, 2},
+    p not an integer, max) solves every row.  Closed forms take one matrix
+    at a time, as it is drawn from ``matrices``.  For a Luxemburg norm the
+    candidates are the rows whose _luxemburg_bounds reach the best
+    opposite bound (_luxemburg_candidates); the candidates of all the
+    matrices are gathered first and solved by one rowwise_norm call, each
+    run of consecutive candidates with equal |row| once.  Rows are solved
+    independently of each other, and the solver reads only |row|, so the
+    first extreme of the returned norms is the first extreme of all rows.
     """
-    m = np.asarray(rows)
-    if m.ndim != 2:
-        raise ValueError("expected a matrix")
+    # map keeps no matrix once its function returns, so the next matrix is
+    # made with no other one held
+    if spec.variant != "orlicz" or spec.power_exponent() is not None:
+        yield from map(lambda m: _closed_form_extreme(_matrix(m), spec, maximize), matrices)
+        return
+    found = list(map(lambda m: _luxemburg_candidates(spec.phi, _matrix(m), maximize), matrices))
+    if not found:
+        return
+    norms = rowwise_norm(np.concatenate([runs for _, runs, _ in found]), spec)
+    start = 0
+    for idx, runs, run_of in found:
+        yield idx, norms[start + run_of]
+        start += runs.shape[0]
+
+
+def _closed_form_extreme(m: np.ndarray, spec: NormSpec, maximize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """_extreme_rows of one matrix under a closed-form norm."""
     p = spec.power_exponent()
     if p is not None and p >= 3.0 and p.is_integer() and m.size:
         idx = _power_candidates(_power_sums(m, int(p)), maximize)
         return idx, rowwise_norm(m[idx], spec)
-    if spec.variant != "orlicz" or p is not None or m.size == 0:
-        return np.arange(m.shape[0]), rowwise_norm(m, spec)
+    return np.arange(m.shape[0]), rowwise_norm(m, spec)
+
+
+def _matrix(rows: np.ndarray) -> np.ndarray:
+    m = np.asarray(rows)
+    if m.ndim != 2:
+        raise ValueError("expected a matrix")
+    return m
+
+
+def _luxemburg_candidates(
+    phi: OrliczFunction, m: np.ndarray, maximize: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of a matrix that can reach its extreme Luxemburg norm:
+    their indices, ascending; the |row| of each run of consecutive
+    candidates with equal |row|; and the run of each candidate.
+
+    A candidate's bounds reach the best opposite bound within the guard.
+    When a row sum overflows the bounds say nothing, and every row is a
+    candidate.
+    """
     a = np.abs(m)
     if not np.all(np.isfinite(a)):
         raise ValueError("rows must be finite")
-    lower, upper = _luxemburg_bounds(spec.phi, a)
-    if not np.all(np.isfinite(lower)):  # a row sum overflowed
-        return np.arange(m.shape[0]), rowwise_norm(m, spec)
-    edge = float(lower.max() if maximize else upper.min())
-    guard = _PRUNE_REL * edge + _PRUNE_ABS * (1.0 + edge)
-    idx = np.flatnonzero(upper >= edge - guard if maximize else lower <= edge + guard)
-    return idx, rowwise_norm(m[idx], spec)
+    idx = np.arange(m.shape[0])
+    if m.size:
+        lower, upper = _luxemburg_bounds(phi, a)
+        if np.all(np.isfinite(lower)):
+            edge = float(lower.max() if maximize else upper.min())
+            guard = _PRUNE_REL * edge + _PRUNE_ABS * (1.0 + edge)
+            idx = np.flatnonzero(upper >= edge - guard if maximize else lower <= edge + guard)
+    rows = a if idx.size == a.shape[0] else a[idx]
+    starts = np.ones(idx.size, dtype=bool)
+    starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return idx, rows[starts], np.cumsum(starts) - 1
 
 
 def _power_candidates(s: np.ndarray, maximize: bool) -> np.ndarray:

@@ -31,6 +31,7 @@ from .kernel import (
     SUPPLIED,
     ConstantEstimate,
     _check_samples,
+    _operator_norms,
     _sampled_search,
     _span_rows,
     invert_with_condition,
@@ -426,10 +427,11 @@ def lambda_threshold(family: ProjectionFamily) -> ThresholdReport:
     sum and max ambients; elsewhere their certified upper bounds make the
     threshold a certified lower bound, which is the safe direction.
     """
-    ambient = family.space.norm
-    partial = [operator_norm(m, ambient) for m in np.cumsum(family.blocks, axis=0)]
-    single = [operator_norm(b, ambient) for b in family.blocks]
-    exact = all(est.method in EXACT_METHODS for est in partial + single)
+    k = family.block_count
+    # one sampled search for all 2K operator norms, where they need one
+    ests = _operator_norms(np.concatenate([np.cumsum(family.blocks, axis=0), family.blocks]), family.space.norm)
+    partial, single = ests[:k], ests[k:]
+    exact = all(est.method in EXACT_METHODS for est in ests)
     sup_partial = max(est.value for est in partial)
     sup_block = max(est.value for est in single)
     value = 1.0 / (4.0 * sup_partial * (1.0 + sup_block) ** 2)

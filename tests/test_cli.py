@@ -811,6 +811,18 @@ def test_exit_code_3_on_numerical_failure(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("norm", ['{"variant": "power", "p": 3}', '{"variant": "orlicz", "phi": {"kind": "exp", "alpha": 1}}'])
+def test_constants_without_an_unconditional_ratio_exit_3(capsys, norm):
+    # the blocks sum to 0, so no sampled vector gives the unconditional
+    # constant a denominator: a numerical failure, not a value of -inf
+    block = [1.0] + [0.0] * 15
+    family = f'{{"N": 4, "norm": {norm}, "blocks": [{block}, {[-v for v in block]}]}}'
+    rc, out, err = run_cli(capsys, "constants", "--family", family, "--samples", "4", "--format", "csv")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
 def test_exit_code_3_on_linalg_error(capsys, monkeypatch):
     # LinAlgError is a ValueError; it is still a numerical failure, not an input error
     def explode(*args, **kwargs):

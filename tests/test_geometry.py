@@ -10,7 +10,7 @@ import pytest
 
 from schauderlab import geometry, orlicz
 from schauderlab.decomposition import ModelSpace, ProjectionFamily, make_coordinate_family, transport_family
-from schauderlab.errors import BudgetError
+from schauderlab.errors import BudgetError, ConvergenceError
 from schauderlab.geometry import (
     besselian_constant,
     hilbertian_constant,
@@ -263,9 +263,19 @@ def test_pruned_extremes_equal_the_full_evaluation(name, scalars, monkeypatch):
         ]
 
     pruned = run()
-    monkeypatch.setattr(geometry, "_extreme_rows", lambda m, spec, maximize: (np.arange(len(m)), rowwise_norm(m, spec)))
+    full = []
+
+    def every_row(matrices, spec, maximize):
+        for m in matrices:
+            full.append(len(m))
+            yield np.arange(len(m)), rowwise_norm(m, spec)
+
+    monkeypatch.setattr(geometry, "_extreme_rows", every_row)
     for got, want in zip(pruned, run()):
         assert estimate_bits(got) == estimate_bits(want)
+    # the full evaluation saw every pattern: 3 samples of 2^10 zero-one and
+    # 2^9 sign patterns, and 2^10 sign patterns for each sign extreme
+    assert sum(full) == 3 * (2**10 + 2**9) + 2 * 2**10
 
 
 def sequential_unconditional(family, mode, samples, seed):
@@ -304,18 +314,61 @@ def test_unconditional_denominators_take_one_row_call(name, monkeypatch):
 
 @pytest.mark.parametrize("shape", ["coordinate", "oblique"])
 def test_unconditional_scans_each_chunk_for_every_sample(shape):
-    # value and witness equal the sample-by-sample reference scan; a
-    # coordinate family ties at exactly 1 in every sample, so the first wins
-    norm = NormSpec.power(3.0)
-    if shape == "coordinate":
-        fam = make_coordinate_family(ModelSpace(12, norm), [2] * 6)
-    else:
-        fam = transported(6, "real", norm, seed=9)
+    # value and witness equal the sample-by-sample reference scan, in the
+    # Luxemburg ambients, whose chunks are solved for all samples at once,
+    # and in l3; a coordinate family ties at exactly 1 in every sample, so
+    # the first wins
+    for name, scalars, samples in itertools.product(("exp", "pwl", "l3"), ("real", "complex"), (1, 3, 6)):
+        norm = NormSpec.power(3.0) if name == "l3" else BRUTE_NORMS[name]
+        if shape == "coordinate":
+            fam = make_coordinate_family(ModelSpace(12, norm, scalars=scalars), [2] * 6)
+        else:
+            fam = transported(6, scalars, norm, seed=9)
+        for mode in ("zero-one", "signs"):
+            want = sequential_unconditional(fam, mode, samples, 2)
+            got = estimate_bits(unconditional_constant(fam, mode, samples=samples, seed=2))
+            assert got == want, (name, scalars, samples, mode)
+            if shape == "coordinate":
+                assert want[0] == 1.0
+
+
+@pytest.mark.parametrize("samples", [1, 3, 6])
+def test_unconditional_solves_each_chunk_in_one_call(samples, monkeypatch):
+    # K = 14 blocks: 2^14 zero-one patterns in two chunks and 2^13 sign
+    # patterns in one.  Besides the sampler's one block of at most 8 draws
+    # and the one call for the denominators, every chunk takes one solver
+    # call for all samples together.  A coordinate family ties every sign
+    # pattern of a sample at the same |row|, so each sample solves one row
+    calls = []
+    original = orlicz._luxemburg_rows
+
+    def counting(phi, rows):
+        calls.append(len(rows))
+        return original(phi, rows)
+
+    monkeypatch.setattr(orlicz, "_luxemburg_rows", counting)
+    norm = BRUTE_NORMS["exp"]
+    oblique = transported(14, "real", norm, seed=2)
+    coordinate = make_coordinate_family(ModelSpace(28, norm), [2] * 14)
+    for fam, mode, chunks in ((oblique, "zero-one", 2), (oblique, "signs", 1), (coordinate, "signs", 1)):
+        calls.clear()
+        est = unconditional_constant(fam, mode, samples=samples, seed=4)
+        assert est.trials == samples
+        assert len(calls) == 2 + chunks, (mode, calls)
+        assert calls[1] == samples
+    assert est.value == 1.0
+    assert calls[2] <= samples
+
+
+@pytest.mark.parametrize("name", ["exp", "l3"])
+def test_unconditional_constant_without_a_ratio_raises(name):
+    # the blocks sum to 0, so no sample has a denominator and no ratio exists
+    norm = NormSpec.power(3.0) if name == "l3" else BRUTE_NORMS[name]
+    block = np.diag([1.0, 0.0, 0.0, 0.0])
+    fam = ProjectionFamily([block, -block], ModelSpace(4, norm))
     for mode in ("zero-one", "signs"):
-        want = sequential_unconditional(fam, mode, 5, 2)
-        assert estimate_bits(unconditional_constant(fam, mode, samples=5, seed=2)) == want
-    if shape == "coordinate":
-        assert want[0] == 1.0
+        with pytest.raises(ConvergenceError):
+            unconditional_constant(fam, mode, samples=5, seed=0)
 
 
 def test_unconditional_holds_one_chunk_at_a_time():

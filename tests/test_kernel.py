@@ -195,7 +195,7 @@ def test_invert_known_matrix():
     assert not res.singular
     assert res.condition == pytest.approx(2.0, rel=1e-12)
     np.testing.assert_allclose(res.inverse, np.diag([0.5, 0.25]), atol=1e-14)
-    assert res.residual <= 1e-12
+    assert np.linalg.norm(m @ res.inverse - np.eye(2), 2) <= 1e-12
 
 
 def test_invert_flags_singular():
@@ -499,10 +499,32 @@ def test_sampled_search_raises_when_no_draw_is_kept(monkeypatch):
     assert len(drawn) == 40
 
 
+def test_sampled_search_ranks_each_member_as_if_alone(monkeypatch):
+    # member 0 scores negative draws NaN and member 1 positive ones: each
+    # keeps its own first 3 draws with a value, refills go on while one of
+    # them is short, and each ranking is the one it gets searched alone
+    values = [-1.0, 2.0, -3.0, 4.0, -5.0, 6.0, 7.0, -8.0]
+
+    def both(xs):
+        return np.stack([np.where(xs[:, 0] >= 0, xs[:, 0], math.nan), np.where(xs[:, 0] < 0, -xs[:, 0], math.nan)])
+
+    alone = []
+    for member in range(2):
+        scripted_stream(monkeypatch, values)
+        alone.append(_sampled_search(lambda xs: both(xs)[member], NormSpec.power(3.0), 1, 3, 0, maximize=True))
+    stream, drawn = scripted_stream(monkeypatch, values)
+    ranked = _sampled_search(both, NormSpec.power(3.0), 1, 3, 0, maximize=True)
+    assert len(drawn) == 6
+    assert [[v for v, _ in r] for r in ranked] == [[6.0, 4.0, 2.0], [5.0, 3.0, 1.0]]
+    for got, want, order in zip(ranked, alone, ((5, 3, 1), (4, 2, 0))):
+        assert [(v, x.tolist()) for v, x in got] == [(v, x.tolist()) for v, x in want]
+        assert all(x is stream[i] for (_, x), i in zip(got, order))
+
+
 def test_sphere_searches_go_through_the_sampled_search():
     # the three sup/inf searches with no closed form each make one call to
     # the one helper, and none draws from the sampler itself
-    for fn in (geometry._sampled_extremum, operator_norm, stability.reduced_minimum_modulus):
+    for fn in (geometry._sampled_extremum, kernel._operator_norms, stability.reduced_minimum_modulus):
         called = [
             node.func.id
             for node in ast.walk(ast.parse(inspect.getsource(fn).lstrip()))

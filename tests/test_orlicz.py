@@ -1,6 +1,7 @@
 """Gauges, Luxemburg norms and the doubling diagnostics."""
 import ast
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -541,6 +542,12 @@ def extreme_cases(rng):
     }
 
 
+def extreme_rows(rows, spec, maximize):
+    """_extreme_rows of one matrix."""
+    ((idx, norms),) = _extreme_rows([rows], spec, maximize)
+    return idx, norms
+
+
 def check_extremes(rows, spec, label):
     """_extreme_rows against the full evaluation: every row that can reach
     the extreme is kept, with the norms of the full evaluation, so the
@@ -550,7 +557,7 @@ def check_extremes(rows, spec, label):
     kept = []
     for maximize in (True, False):
         pick = np.argmax if maximize else np.argmin
-        idx, norms = _extreme_rows(rows, spec, maximize)
+        idx, norms = extreme_rows(rows, spec, maximize)
         assert np.all(np.diff(idx) > 0), label
         np.testing.assert_array_equal(norms, full[idx], err_msg=label)
         assert np.isin(np.flatnonzero(full == full[pick(full)]), idx).all(), label
@@ -600,7 +607,7 @@ def test_extreme_rows_of_closed_forms_keep_every_possible_extreme():
                  NormSpec.max_norm(), NormSpec.orlicz(OrliczFunction.power(2.0))):
         for label, rows in cases.items():
             for maximize in (True, False):
-                idx, norms = _extreme_rows(rows, spec, maximize)
+                idx, norms = extreme_rows(rows, spec, maximize)
                 np.testing.assert_array_equal(idx, np.arange(rows.shape[0]), err_msg=label)
                 np.testing.assert_array_equal(norms, rowwise_norm(rows, spec), err_msg=label)
     for spec in (NormSpec.power(3.0), NormSpec.power(4.0), NormSpec.power(10.0),
@@ -617,7 +624,7 @@ def test_extreme_rows_solve_every_row_when_a_sum_overflows():
     rows = np.array([[1.5e308, 1.5e308, 0.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
     full = rowwise_norm(rows, NormSpec.orlicz(phi))
     for maximize in (True, False):
-        idx, norms = _extreme_rows(rows, NormSpec.orlicz(phi), maximize)
+        idx, norms = extreme_rows(rows, NormSpec.orlicz(phi), maximize)
         np.testing.assert_array_equal(idx, [0, 1, 2])
         np.testing.assert_array_equal(norms, full)
 
@@ -627,7 +634,92 @@ def test_extreme_rows_reject_nonfinite_rows():
     rows[2, 1] = np.nan
     for maximize in (True, False):
         with pytest.raises(ValueError):
-            _extreme_rows(rows, NormSpec.orlicz(OrliczFunction.scaled_exp(1.0)), maximize)
+            extreme_rows(rows, NormSpec.orlicz(OrliczFunction.scaled_exp(1.0)), maximize)
+
+
+def count_solves(monkeypatch):
+    """The row counts of every _luxemburg_rows call, as they are made."""
+    calls = []
+    original = orlicz._luxemburg_rows
+
+    def counting(phi, rows):
+        calls.append(len(rows))
+        return original(phi, rows)
+
+    monkeypatch.setattr(orlicz, "_luxemburg_rows", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", SOLVED_GAUGES)
+def test_extreme_rows_of_many_matrices_take_one_solve(name, monkeypatch):
+    # every case of extreme_cases at once, a matrix without rows and a
+    # repeated one among them: each result equals its matrix's own call bit
+    # for bit, and all the candidates go to the solver in one call
+    spec = NormSpec.orlicz(KERNEL_GAUGES[name])
+    cases = list(extreme_cases(np.random.default_rng(5)).values())
+    cases += [np.zeros((0, 7)), cases[0]]
+    for maximize in (True, False):
+        alone = [extreme_rows(m, spec, maximize) for m in cases]
+        calls = count_solves(monkeypatch)
+        together = list(_extreme_rows(iter(cases), spec, maximize))
+        assert len(calls) == 1
+        assert len(together) == len(cases)
+        for (idx, norms), (want_idx, want_norms) in zip(together, alone):
+            np.testing.assert_array_equal(idx, want_idx)
+            assert norms.tobytes() == want_norms.tobytes()
+        monkeypatch.undo()
+    assert list(_extreme_rows([], spec, True)) == []
+
+
+@pytest.mark.parametrize("name,limit", [("l2", 1.5), ("l3", 1.5), ("exp:1", 2.5)])
+def test_extremes_hold_one_matrix_at_a_time(name, limit):
+    # each matrix is taken as it is made, and none is kept while the next
+    # is made: the closed forms' row blocks are small, and a Luxemburg
+    # norm keeps only the candidates, besides one |matrix| for the bounds.
+    # So eight 1 MB matrices peak below ``limit`` of one, once a first pass
+    # has set up what numpy caches
+    spec = NormSpec.orlicz(KERNEL_GAUGES["exp:1"]) if name == "exp:1" else NormSpec.power(float(name[1:]))
+    size = 4096 * 32 * 8
+
+    def matrices():
+        rng = np.random.default_rng(3)
+        for _ in range(8):
+            yield rng.standard_normal((4096, 32))
+
+    list(_extreme_rows(matrices(), spec, True))
+    tracemalloc.start()
+    try:
+        kept = [idx.size for idx, _ in _extreme_rows(matrices(), spec, True)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 8
+    assert peak < limit * size, peak
+
+
+@pytest.mark.parametrize("name", SOLVED_GAUGES)
+def test_extreme_rows_solve_each_run_of_tied_rows_once(name, monkeypatch):
+    # every sign pattern of x ties at |x|, real or complex; the runs of
+    # tied candidates are solved once each, and every row gets its norm.
+    # In the mixed matrix the rows at |2x| win the largest norm and those
+    # at |x| the smallest; either way the candidates are one run
+    spec = NormSpec.orlicz(KERNEL_GAUGES[name])
+    rng = np.random.default_rng(12)
+    signs = 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1.0
+    x = rng.standard_normal(8)
+    y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    mixed = np.vstack([signs[:5] * x, signs[:3] * 2 * x, signs[:4] * x])
+    for maximize in (True, False):
+        calls = count_solves(monkeypatch)
+        got = list(_extreme_rows([signs * x, signs * y, mixed], spec, maximize))
+        assert calls == [3]
+        assert len(got[2][0]) == (3 if maximize else 9)
+        for m, (idx, norms) in zip((signs * x, signs * y), got):
+            np.testing.assert_array_equal(idx, np.arange(256))
+            assert np.all(norms == rowwise_norm(m[:1], spec)[0])
+        idx, norms = got[2]
+        np.testing.assert_array_equal(norms, rowwise_norm(mixed, spec)[idx])
+        monkeypatch.undo()
 
 
 def test_block_psi_norm_pythagoras():

@@ -669,6 +669,45 @@ def test_lambda_orlicz_ambient_is_certified():
     assert 0.0 < rep.value <= 1.0 / 16.0 + 1e-12
 
 
+LAMBDA_AMBIENTS = {
+    "exp:1": NormSpec.orlicz(OrliczFunction.scaled_exp(1.0)),
+    "pwl": NormSpec.orlicz(OrliczFunction.piecewise_linear([(0.0, 0.0), (0.5, 0.2), (1.0, 1.0), (2.0, 4.0)])),
+    "l3": NormSpec.power(3.0),
+}
+
+
+def estimate_bytes(est):
+    return est.value, est.method, est.trials, est.lower_bound, np.asarray(est.witness).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(LAMBDA_AMBIENTS))
+def test_lambda_draws_one_sample_for_all_members(name, monkeypatch):
+    # the 2K operator norms behind the threshold share one sampler stream,
+    # and each equals its own operator_norm call bit for bit
+    from schauderlab import kernel
+
+    norm = LAMBDA_AMBIENTS[name]
+    moved = perturbation_transport(make_coordinate_family(ModelSpace(12, norm), [2] * 6), 0.1, 3)
+    members = np.concatenate([np.cumsum(moved.blocks, axis=0), moved.blocks])
+    want = [kernel.operator_norm(m, norm) for m in members]
+    streams = []
+    original = kernel.unit_sphere_sampler
+
+    def spy(*args):
+        streams.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernel, "unit_sphere_sampler", spy)
+    rep = lambda_threshold(moved)
+    assert len(streams) == 1
+    assert rep.method == "certified-lower-bound"
+    assert rep.sup_partial_sum_norm == max(est.value for est in want[:6])
+    assert rep.sup_block_norm == max(est.value for est in want[6:])
+    got = kernel._operator_norms(members, norm)
+    assert len(streams) == 2
+    assert [estimate_bytes(est) for est in got] == [estimate_bytes(est) for est in want]
+
+
 # ---------------------------------------------------------------------------
 # opening condition
 
