@@ -142,8 +142,9 @@ def min_max_sign_norm(vectors: Sequence[np.ndarray], norm: NormSpec, mode: str) 
     eps -> -eps half of them, those with a last sign of +1, are
     enumerated, and the witness is the first of those reaching the
     extreme.  Of each chunk of patterns only those whose convexity bounds
-    can reach its extreme are solved (orlicz._extreme_rows); the value and
-    the witness are those of a full evaluation.
+    can reach its extreme are solved (orlicz._extreme_rows), in a Luxemburg
+    ambient those of every chunk in one row call; the value and the witness
+    are those of a full evaluation.
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
@@ -151,8 +152,10 @@ def min_max_sign_norm(vectors: Sequence[np.ndarray], norm: NormSpec, mode: str) 
     n = x.shape[0]
     maximize = mode == "max"
     best, witness = (-math.inf if maximize else math.inf), None
-    for signs in _sign_chunks(n):
-        ((idx, norms),) = _extreme_rows([signs @ x], norm, maximize)
+    # every chunk's matrix goes to one _extreme_rows call, made lazily; a
+    # second pass over the chunks pairs each result with its patterns
+    extremes = _extreme_rows((signs @ x for signs in _sign_chunks(n)), norm, maximize)
+    for signs, (idx, norms) in zip(_sign_chunks(n), extremes):
         i = int(np.argmax(norms) if maximize else np.argmin(norms))
         if (norms[i] > best) if maximize else (norms[i] < best):
             best, witness = float(norms[i]), signs[idx[i]].copy()
@@ -270,21 +273,32 @@ def riesz_constant(family: ProjectionFamily) -> ConstantEstimate:
     return ConstantEstimate(value=value, method=SPECTRAL_EXACT, witness=witness, trials=0)
 
 
-def _block_aggregate(blocks: np.ndarray, x: np.ndarray, norm: NormSpec, psi: NormSpec) -> np.ndarray:
-    """psi-aggregate of the block norms ||B_k x_i|| for every row x_i; the
-    images are summed column by column (kernel._span_rows), so row i does
-    not depend on the other rows."""
+def _psi_score(images: np.ndarray, y: np.ndarray, norm: NormSpec, psi: NormSpec, *, ratio: bool) -> np.ndarray:
+    """psi-aggregate of the block norms ||images[i, k]|| for every row i, or
+    with ``ratio`` ||y_i|| over it, inf where the aggregate is 0; row i
+    does not depend on the other rows."""
+    m, k, n = images.shape
+    agg = rowwise_norm(rowwise_norm(images.reshape(-1, n), norm).reshape(m, k), psi)
+    if not ratio:
+        return agg
+    return np.divide(rowwise_norm(y, norm), agg, out=np.full(agg.shape, math.inf), where=agg != 0.0)
+
+
+def _block_images(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(rows, K, n) stack of the images B_k x_i, summed column by column
+    (kernel._span_rows), so row i does not depend on the other rows."""
     k, n, _ = blocks.shape
-    images = _span_rows(x, blocks.reshape(k * n, n)).reshape(-1, n)
-    return rowwise_norm(rowwise_norm(images, norm).reshape(-1, k), psi)
+    return _span_rows(x, blocks.reshape(k * n, n)).reshape(-1, k, n)
 
 
-def _profile_ratio(family: ProjectionFamily, psi: NormSpec, x: np.ndarray) -> np.ndarray:
-    """||x_i|| / psi-aggregate of the block norms, for every row x_i; inf
-    where the aggregate is 0."""
-    norm = family.space.norm
-    agg = _block_aggregate(family.blocks, x, norm, psi)
-    return np.divide(rowwise_norm(x, norm), agg, out=np.full(agg.shape, math.inf), where=agg != 0.0)
+def _block_aggregate(
+    blocks: np.ndarray, x: np.ndarray, norm: NormSpec, psi: NormSpec, *, ratio: bool = False
+) -> np.ndarray:
+    """psi-aggregate of the block norms ||B_k x_i|| for every row x_i, or
+    with ``ratio`` ||x_i|| over it, inf where the aggregate is 0
+    (_psi_score of _block_images): the direct objective of sigma (plain)
+    and of C and c (ratio)."""
+    return _psi_score(_block_images(blocks, x), x, norm, psi, ratio=ratio)
 
 
 # a refinement moves on a relative gain above _REL_GAIN and stops once its
@@ -294,75 +308,93 @@ _MIN_STEP = 1e-9
 _MAX_ROUNDS = 200
 
 
-def _coordinate_refine(fn, x0: np.ndarray, norm: NormSpec, *, maximize: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate-wise perturbation climb on the unit sphere of ``norm``,
-    from each row of the stack ``x0`` at once; returns each start's point
-    and value.
+def _coordinate_refine(
+    blocks: np.ndarray, x0: np.ndarray, norm: NormSpec, psi: NormSpec, *, ratio: bool, maximize: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate-wise perturbation climb of _block_aggregate(blocks, .,
+    norm, psi, ratio=ratio) on the unit sphere of ``norm``, from each row
+    of the stack ``x0`` at once; returns each start's point and value.
 
-    ``fn`` maps a stack of vectors to one value per row.  A start's round
-    scans x + h e_i, then x - h e_i, for i = 0, 1, ..., normalised, and
-    moves to each candidate that beats its best value by more than
-    _REL_GAIN * |best|; h halves after a round without a move.  The starts
-    run in lockstep: each step forms the candidates left in every running
-    start's scan (after a move only those behind it, from the new point),
-    normalises them all by one rowwise_norm call (norms <= 0 are skipped)
-    and scores them all by one ``fn`` call.  For an ``fn`` whose row i
-    equals its value on that row alone, each start follows its
-    one-candidate-at-a-time trajectory, and the calls number 1 + the most
-    steps any start takes, a start's steps being its rounds plus its moves
-    that leave candidates behind them.
+    A start's round scans x + h e_c, then x - h e_c, for c = 0, 1, ...,
+    normalised, and moves to each candidate that beats its best score by
+    more than _REL_GAIN * |best|; h halves after a round without a move.
+    The starts run in lockstep: each step forms the candidates left in
+    every running start's scan (after a move only those behind it, from
+    the new point), normalises them all by one rowwise_norm call (norms
+    <= 0 are skipped) and scores them all by one _psi_score call.
+
+    Each start keeps the block images of its point.  A candidate's images
+    are the rank-one update (B x + s h B e_c) / nu, with nu the candidate's
+    norm, instead of its own product with every block; a start that moves
+    keeps the images of the candidate it moved to.  Those images differ
+    from the products of the normalised candidate only by rounding, so
+    each start follows the one-candidate-at-a-time trajectory of the
+    direct objective unless a gain falls within rounding of the move
+    threshold.  The values returned are not those of the climb: the final
+    points are scored once more by one _block_aggregate call, so a value
+    replays from its point bit for bit.  _psi_score is called once for the
+    starts, once per step of the start that takes the most and once in
+    that final call, a start's steps being its rounds plus its moves that
+    leave candidates behind them.
     """
     x = x0 / rowwise_norm(x0, norm)[:, None]
-    best = fn(x).astype(float)
+    images = _block_images(blocks, x)
+    best = _psi_score(images, x, norm, psi, ratio=ratio)
     m, n = x.shape
+    columns = np.moveaxis(blocks, -1, 0)  # columns[c]: the images B_k e_c of every block
     signs = np.tile([1.0, -1.0], n)  # scan position c moves coordinate c // 2
-    h = np.full(m, 0.25)
-    rounds = np.zeros(m, dtype=int)
-    running = np.ones(m, dtype=bool)
-    moved = np.ones(m, dtype=bool)
-    start = np.full(m, 2 * n)  # a scan position of 2n: the round is over
+    h, rounds, moved, start = [0.25] * m, [0] * m, [True] * m, [2 * n] * m  # a start of 2n: the round is over
+    live = list(range(m))
     while True:
-        ended = running & (start == 2 * n)
-        h[ended & ~moved] *= 0.5
-        running &= ~ended | ((h > _MIN_STEP) & (rounds < _MAX_ROUNDS))
-        ended &= running
-        rounds[ended] += 1
-        moved[ended] = False
-        start[ended] = 0
-        live = np.flatnonzero(running)
-        if not live.size:
-            return x, best
-        counts = 2 * n - start[live]
-        owner = np.repeat(live, counts)
-        scan = np.arange(owner.size) + np.repeat(start[live] - np.cumsum(counts) + counts, counts)
+        for i in [i for i in live if start[i] == 2 * n]:
+            if not moved[i]:
+                h[i] *= 0.5
+            if h[i] > _MIN_STEP and rounds[i] < _MAX_ROUNDS:
+                rounds[i], moved[i], start[i] = rounds[i] + 1, False, 0
+            else:
+                live.remove(i)
+        if not live:
+            return x, _block_aggregate(blocks, x, norm, psi, ratio=ratio)
+        owner = np.repeat(live, [2 * n - start[i] for i in live])
+        scan = np.concatenate([np.arange(start[i], 2 * n) for i in live])
+        step = signs[scan] * np.array(h)[owner]
         cand = x[owner]
-        cand[np.arange(owner.size), scan // 2] += signs[scan] * h[owner]
+        cand[np.arange(owner.size), scan // 2] += step
         nrm = rowwise_norm(cand, norm)
         ok = np.flatnonzero(nrm > 0)
-        cand, owner, scan = cand[ok] / nrm[ok, None], owner[ok], scan[ok]
-        vals = fn(cand)
+        cand, owner, scan, step, nrm = cand[ok] / nrm[ok, None], owner[ok], scan[ok], step[ok], nrm[ok]
+        cand_images = images[owner] + step[:, None, None] * columns[scan // 2]
+        cand_images /= nrm[:, None, None]
+        vals = _psi_score(cand_images, cand, norm, psi, ratio=ratio)
         with np.errstate(invalid="ignore"):  # inf - inf never counts as a gain
             gain = vals - best[owner] if maximize else best[owner] - vals
         hit = np.flatnonzero(gain > _REL_GAIN * np.maximum(np.abs(best[owner]), 1e-300))
-        start[live] = 2 * n  # a scan without a gain ends its round
-        movers, first = np.unique(owner[hit], return_index=True)
-        j = hit[first]
-        x[movers], best[movers], moved[movers], start[movers] = cand[j], vals[j], True, scan[j] + 1
+        first = {}  # each start's first candidate with a gain
+        for j, i in zip(hit.tolist(), owner[hit].tolist()):
+            first.setdefault(i, j)
+        for i in live:
+            start[i] = 2 * n  # a scan without a gain ends its round
+        for i, j in first.items():
+            x[i], images[i], best[i] = cand[j], cand_images[j], vals[j]
+            moved[i], start[i] = True, int(scan[j]) + 1
 
 
 def _sampled_extremum(
-    ratio, norm: NormSpec, dim: int, samples: int, seed: int, *, maximize: bool
+    blocks: np.ndarray, norm: NormSpec, psi: NormSpec, samples: int, seed: int, *, ratio: bool, maximize: bool
 ) -> ConstantEstimate:
-    """Extreme of the row objective ``ratio`` over a seeded unit-sphere
-    sample (kernel._sampled_search), its three best refined by one lockstep
-    coordinate search, each along its own sequential trajectory
-    (_coordinate_refine).  Returns the best value seen and its vector, a tie
-    keeping the best sample, then the earlier refined start; ``trials``
-    counts the samples kept.  A sampled supremum is a lower bound and a
-    sampled infimum an upper bound, and the tag says which.
+    """Extreme of _block_aggregate(blocks, ., norm, psi, ratio=ratio) over
+    a seeded unit-sphere sample (kernel._sampled_search), its three best
+    refined by one lockstep coordinate search, each along its own
+    sequential trajectory (_coordinate_refine).  Returns the best value
+    seen and its vector, a tie keeping the best sample, then the earlier
+    refined start; every value is the direct objective at its vector.
+    ``trials`` counts the samples kept.  A sampled supremum is a lower
+    bound and a sampled infimum an upper bound, and the tag says which.
     """
-    ranked = _sampled_search(ratio, norm, dim, samples, seed, maximize=maximize)
-    points, values = _coordinate_refine(ratio, np.array([x for _, x in ranked[:3]]), norm, maximize=maximize)
+    direct = functools.partial(_block_aggregate, blocks, norm=norm, psi=psi, ratio=ratio)
+    ranked = _sampled_search(direct, norm, blocks.shape[-1], samples, seed, maximize=maximize)
+    starts = np.array([x for _, x in ranked[:3]])
+    points, values = _coordinate_refine(blocks, starts, norm, psi, ratio=ratio, maximize=maximize)
     # max and min return the first of equal values
     best_val, best_x = (max if maximize else min)([ranked[0], *zip(values.tolist(), points)], key=lambda t: t[0])
     method = SAMPLED_LOWER_BOUND if maximize else SAMPLED_UPPER_BOUND
@@ -384,9 +416,7 @@ def _ratio_constant(
         lam, x = lo if maximize else hi
         value = 1.0 / math.sqrt(lam) if lam > 0 else math.inf
         return ConstantEstimate(value=value, method=SPECTRAL_EXACT, witness=x, trials=0)
-    return _sampled_extremum(
-        lambda y: _profile_ratio(family, psi, y), family.space.norm, family.dim, samples, seed, maximize=maximize
-    )
+    return _sampled_extremum(family.blocks, family.space.norm, psi, samples, seed, ratio=True, maximize=maximize)
 
 
 def hilbertian_constant(
@@ -438,7 +468,7 @@ def perturbation_sigma(
     if norm.power_exponent() == 2.0 and psi.power_exponent() == 2.0:
         _, (lam, x) = _gram_ends(parts)
         return ConstantEstimate(value=math.sqrt(max(lam, 0.0)), method=SPECTRAL_EXACT, witness=x, trials=0)
-    return _sampled_extremum(lambda y: _block_aggregate(parts, y, norm, psi), norm, n, samples, seed, maximize=True)
+    return _sampled_extremum(parts, norm, psi, samples, seed, ratio=False, maximize=True)
 
 
 # ---------------------------------------------------------------------------

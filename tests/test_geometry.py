@@ -360,6 +360,39 @@ def test_unconditional_solves_each_chunk_in_one_call(samples, monkeypatch):
     assert calls[2] <= samples
 
 
+@pytest.mark.parametrize("name", ["exp", "pwl"])
+def test_sign_extremes_solve_every_chunk_in_one_call(name, monkeypatch):
+    # n = 16 and n = 20 vectors have 4 and 64 chunks of 2^13 sign patterns
+    # with a last sign of +1: the candidates of all of them take one solver
+    # call, and the value and witness are those of solving chunk by chunk
+    norm = BRUTE_NORMS[name]
+    rng = np.random.default_rng(6)
+    calls = []
+    original = orlicz._luxemburg_rows
+
+    def counting(phi, rows):
+        calls.append(len(rows))
+        return original(phi, rows)
+
+    for n in (16, 20):
+        vectors = [rng.standard_normal(12) for _ in range(n)]
+        for mode in ("min", "max"):
+            maximize = mode == "max"
+            best, witness = (-math.inf if maximize else math.inf), None
+            for signs in geometry._sign_chunks(n):
+                ((idx, norms),) = orlicz._extreme_rows([signs @ np.array(vectors)], norm, maximize)
+                i = int(np.argmax(norms) if maximize else np.argmin(norms))
+                if (norms[i] > best) if maximize else (norms[i] < best):
+                    best, witness = float(norms[i]), signs[idx[i]].copy()
+            calls.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(orlicz, "_luxemburg_rows", counting)
+                est = min_max_sign_norm(vectors, norm, mode)
+            assert len(calls) == 1, (n, mode, calls)
+            assert est.value == best and np.array_equal(est.witness["signs"], witness)
+            assert est.trials == 2**n
+
+
 @pytest.mark.parametrize("name", ["exp", "l3"])
 def test_unconditional_constant_without_a_ratio_raises(name):
     # the blocks sum to 0, so no sample has a denominator and no ratio exists
@@ -635,13 +668,24 @@ def sequential_refine(fn, x0, norm, *, maximize, rel_gain=1e-8, min_step=1e-9, m
     return x, best, rounds, moves, last_moves
 
 
+def direct_objective(blocks, norm, psi, ratio):
+    """The direct row objective of C and c (ratio) or of sigma (plain):
+    every block image from its own product with the row."""
+    return functools.partial(geometry._block_aggregate, blocks, norm=norm, psi=psi, ratio=ratio)
+
+
+def profile_ratio(fam, psi):
+    """The row objective ||x|| / psi-aggregate of C and c."""
+    return direct_objective(fam.blocks, fam.space.norm, psi, True)
+
+
 def sigma_objective(p_family, j_family, psi):
-    """The row objective perturbation_sigma hands to _sampled_extremum."""
+    """The row objective of what perturbation_sigma hands to _sampled_extremum."""
     captured = []
 
-    def capture(ratio, norm, dim, samples, seed, *, maximize):
-        captured.append(ratio)
-        return ConstantEstimate(value=0.0, method=SAMPLED_LOWER_BOUND, witness=np.zeros(dim), trials=samples)
+    def capture(blocks, norm, psi, samples, seed, *, ratio, maximize):
+        captured.append(direct_objective(blocks, norm, psi, ratio))
+        return ConstantEstimate(value=0.0, method=SAMPLED_LOWER_BOUND, witness=np.zeros(blocks.shape[-1]), trials=samples)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_sampled_extremum", capture)
@@ -649,16 +693,31 @@ def sigma_objective(p_family, j_family, psi):
     return captured[0]
 
 
+def refine(fn, starts, norm, maximize):
+    """_coordinate_refine on the problem of the direct objective ``fn``;
+    also returns the length of every _psi_score call it makes."""
+    blocks, kw = fn.args[0], fn.keywords
+    assert kw["norm"] is norm
+    calls = []
+    original = geometry._psi_score
+
+    def counting(images, *args, **kwargs):
+        calls.append(len(images))
+        return original(images, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_psi_score", counting)
+        points, values = geometry._coordinate_refine(
+            blocks, starts, norm, kw["psi"], ratio=kw["ratio"], maximize=maximize
+        )
+    return points, values, calls
+
+
 def check_refine_matches_sequential(fn, starts, norm, maximize):
     """Refine the stack ``starts`` in lockstep, check each start against
-    the one-candidate-at-a-time climb, and return each start's moves."""
-    calls = []
-
-    def counting(rows):
-        calls.append(len(rows))
-        return fn(rows)
-
-    points, values = geometry._coordinate_refine(counting, starts, norm, maximize=maximize)
+    the one-candidate-at-a-time climb of the direct objective ``fn``, and
+    return each start's moves."""
+    points, values, calls = refine(fn, starts, norm, maximize)
     assert points.shape == starts.shape and values.shape == (len(starts),)
     steps, all_moves = [], []
     for x0, x, best in zip(starts, points, values):
@@ -669,8 +728,9 @@ def check_refine_matches_sequential(fn, starts, norm, maximize):
         # a start scans once per round and once after each move that leaves candidates
         steps.append(rounds + moves - last_moves)
         all_moves.append(moves)
-    # one call to start, then one per step of the start that takes the most
-    assert len(calls) == 1 + max(steps)
+    # one call to start, then one per step of the start that takes the most,
+    # then the direct re-score of the final points
+    assert len(calls) == 2 + max(steps) and calls[0] == calls[-1] == len(starts)
     return all_moves
 
 
@@ -684,9 +744,7 @@ def test_batched_refine_follows_the_sequential_trajectory(ambient, maximize, mon
     fam = transported(3, "real", norm, seed=len(ambient))
     for i, (name, psi) in enumerate(sorted(REFINE_PSIS.items())):
         x0 = next(unit_sphere_sampler(norm, fam.dim, seed=i))
-        (moves,) = check_refine_matches_sequential(
-            lambda rows: geometry._profile_ratio(fam, psi, rows), x0[None, :], norm, maximize
-        )
+        (moves,) = check_refine_matches_sequential(profile_ratio(fam, psi), x0[None, :], norm, maximize)
         assert moves > 0, name
 
 
@@ -698,6 +756,70 @@ def test_batched_refine_follows_the_sequential_trajectory_for_sigma(ambient, mon
     fn = sigma_objective(p_family, transported(3, "real", norm, seed=4), REFINE_PSIS["l3"])
     x0 = next(unit_sphere_sampler(norm, 6, seed=3))
     assert check_refine_matches_sequential(fn, x0[None, :], norm, True)[0] > 0
+
+
+@pytest.mark.parametrize("scalars", ["real", "complex"])
+@pytest.mark.parametrize("ambient", sorted(REFINE_AMBIENTS))
+def test_rank_one_refine_follows_the_direct_climb(ambient, scalars, monkeypatch):
+    # C, c and sigma from one stack of three starts: each start ends on the
+    # point and value of the one-candidate-at-a-time climb of the direct
+    # objective, bit for bit, and every start moves
+    monkeypatch.setattr(geometry, "_MAX_ROUNDS", 12)
+    norm = REFINE_AMBIENTS[ambient]
+    fam = transported(3, scalars, norm, seed=7)
+    p_family = make_coordinate_family(ModelSpace(6, norm, scalars=scalars), [2, 2, 2])
+    starts = np.array(list(itertools.islice(unit_sphere_sampler(norm, 6, seed=5), 3)))
+    for fn, maximize in (
+        (profile_ratio(fam, REFINE_PSIS["l3"]), True),
+        (profile_ratio(fam, REFINE_PSIS["max"]), False),
+        (sigma_objective(p_family, fam, REFINE_PSIS["exp:1"]), True),
+    ):
+        assert min(check_refine_matches_sequential(fn, starts, norm, maximize)) > 0
+
+
+@pytest.mark.parametrize("scalars", ["real", "complex"])
+@pytest.mark.parametrize("ambient", sorted(REFINE_AMBIENTS))
+def test_reported_values_are_the_direct_objective_at_the_witness(ambient, scalars, monkeypatch):
+    monkeypatch.setattr(geometry, "_MAX_ROUNDS", 12)
+    norm = REFINE_AMBIENTS[ambient]
+    fam = transported(3, scalars, norm, seed=1)
+    p_family = make_coordinate_family(ModelSpace(6, norm, scalars=scalars), [2, 2, 2])
+    parts = p_family.blocks[1:] @ (fam.blocks[1:] - p_family.blocks[1:])
+    for est, fn in (
+        (hilbertian_constant(fam, L2, samples=8, seed=2), profile_ratio(fam, L2)),
+        (besselian_constant(fam, L2, samples=8, seed=2), profile_ratio(fam, L2)),
+        (perturbation_sigma(p_family, fam, L2, samples=8, seed=2), direct_objective(parts, norm, L2, False)),
+    ):
+        assert est.value == fn(est.witness[None, :])[0]
+
+
+@pytest.mark.parametrize("scalars", ["real", "complex"])
+@pytest.mark.parametrize("ambient", sorted(REFINE_AMBIENTS))
+def test_rank_one_images_are_the_block_products_within_rounding(ambient, scalars, monkeypatch):
+    # every candidate image the climb scores lies within a few ulps of the
+    # products of its normalised candidate with the blocks, relative to the
+    # sum of the products' magnitudes.  A start that moves keeps the images
+    # of its candidate, so their rounding adds up over its moves: in these
+    # 10 capped climbs the largest gap is about 11 ulps
+    monkeypatch.setattr(geometry, "_MAX_ROUNDS", 12)
+    norm = REFINE_AMBIENTS[ambient]
+    fam = transported(3, scalars, norm, seed=3)
+    scored = []
+    original = geometry._psi_score
+
+    def capture(images, y, *args, **kwargs):
+        scored.append((images, y))
+        return original(images, y, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_psi_score", capture)
+    starts = np.array(list(itertools.islice(unit_sphere_sampler(norm, 6, seed=4), 3)))
+    geometry._coordinate_refine(fam.blocks, starts, norm, L2, ratio=True, maximize=True)
+    assert len(scored) > 20
+    eps = np.finfo(float).eps
+    for images, y in scored:
+        direct = geometry._block_images(fam.blocks, y)
+        scale = np.einsum("krj,mj->mkr", np.abs(fam.blocks), np.abs(y))
+        assert np.all(np.abs(images - direct) <= 16 * eps * scale)
 
 
 @pytest.mark.parametrize("psi_name", ["l3", "max"])
@@ -713,9 +835,7 @@ def test_lockstep_refine_keeps_each_start_on_its_sequential_trajectory(psi_name,
     psi = REFINE_PSIS[psi_name]
     samples = list(itertools.islice(unit_sphere_sampler(norm, 12, 0), 3))
     starts = np.array([np.eye(12)[0], samples[1], samples[2]])
-    moves = check_refine_matches_sequential(
-        lambda rows: geometry._profile_ratio(fam, psi, rows), starts, norm, maximize=False
-    )
+    moves = check_refine_matches_sequential(profile_ratio(fam, psi), starts, norm, maximize=False)
     if psi_name == "l3":
         assert moves == [0, 0, 0]
     else:
@@ -733,42 +853,49 @@ def test_row_objectives_are_batch_invariant(ambient, scalars):
     rng = np.random.default_rng(8)
     rows = np.vstack([rng.standard_normal((40, 8)) * rng.uniform(1e-3, 1e3, (40, 1)), np.zeros((1, 8))])
     for name, psi in REFINE_PSIS.items():
-        for fn in (lambda m: geometry._profile_ratio(fam, psi, m), sigma_objective(p_family, fam, psi)):
+        for fn in (profile_ratio(fam, psi), sigma_objective(p_family, fam, psi)):
             batch = fn(rows)
             assert batch.shape == (41,)
             for i in range(rows.shape[0]):
                 assert batch[i] == fn(rows[i : i + 1])[0], (name, i)
-        assert geometry._profile_ratio(fam, psi, rows[-1:])[0] == math.inf
+        assert profile_ratio(fam, psi)(rows[-1:])[0] == math.inf
 
 
 def test_never_accepting_refinement_costs_one_call_per_round(monkeypatch):
     # a power:3 coordinate family with psi = power:3 has ratio 1 up to
     # rounding, so no candidate gains 1e-8: the 3 refinements run in
-    # lockstep, with one call for their starts and one per round scoring
-    # the 3 * 24 candidates, and h halves from 0.25 past 1e-9 in 28 rounds;
-    # the samples are scored by the first call, from as many sampler draws
-    # as there are samples
+    # lockstep, with one scoring call for their starts and one per round
+    # scoring the 3 * 24 candidates, and h halves from 0.25 past 1e-9 in 28
+    # rounds; the final points are scored once more by the direct
+    # objective.  The samples are scored by the first direct call, from as
+    # many sampler draws as there are samples
     norm = NormSpec.power(3.0)
     fam = make_coordinate_family(ModelSpace(12, norm), [3] * 4)
-    calls, draws = [], []
-    original, sampler = geometry._profile_ratio, geometry.unit_sphere_sampler
+    calls, direct, draws = [], [], []
+    score, aggregate, sampler = geometry._psi_score, geometry._block_aggregate, geometry.unit_sphere_sampler
 
-    def counting(family, psi, rows):
-        calls.append(len(rows))
-        return original(family, psi, rows)
+    def counting(images, *args, **kwargs):
+        calls.append(len(images))
+        return score(images, *args, **kwargs)
+
+    def counting_direct(blocks, rows, *args, **kwargs):
+        direct.append(len(rows))
+        return aggregate(blocks, rows, *args, **kwargs)
 
     def counting_sampler(*args):
         for x in sampler(*args):
             draws.append(x)
             yield x
 
-    monkeypatch.setattr(geometry, "_profile_ratio", counting)
+    monkeypatch.setattr(geometry, "_psi_score", counting)
+    monkeypatch.setattr(geometry, "_block_aggregate", counting_direct)
     monkeypatch.setattr("schauderlab.kernel.unit_sphere_sampler", counting_sampler)
     assert not hasattr(geometry, "vector_norm")
     est = hilbertian_constant(fam, norm, samples=16, seed=5)
     assert est.value == pytest.approx(1.0, rel=1e-14)
     assert est.trials == 16 and len(draws) == 16
-    assert calls == [16, 3, *[72] * 28]
+    assert calls == [16, 3, *[72] * 28, 3]
+    assert direct == [16, 3]
 
 
 def test_refinement_makes_no_vector_norm_call(monkeypatch):
@@ -784,23 +911,25 @@ def test_refinement_makes_no_vector_norm_call(monkeypatch):
     monkeypatch.setattr(orlicz, "vector_norm", refuse)
     monkeypatch.setattr(orlicz, "luxemburg_norm", refuse)
     starts = np.array([x0, next(unit_sphere_sampler(norm, fam.dim, seed=1))])
-    _, best = geometry._coordinate_refine(lambda m: geometry._profile_ratio(fam, L2, m), starts, norm, maximize=True)
-    assert (best > geometry._profile_ratio(fam, L2, starts)).all()
+    _, best = geometry._coordinate_refine(fam.blocks, starts, norm, L2, ratio=True, maximize=True)
+    assert (best > profile_ratio(fam, L2)(starts)).all()
 
 
-def test_sampled_extremum_scores_its_samples_in_one_call():
+def test_sampled_extremum_scores_its_samples_in_one_call(monkeypatch):
     norm = REFINE_AMBIENTS["pwl"]
     fam = transported(2, "real", norm, seed=3)
     calls = []
+    score = geometry._psi_score
 
-    def ratio(rows):
-        calls.append(len(rows))
-        return geometry._profile_ratio(fam, L2, rows)
+    def counting(images, *args, **kwargs):
+        calls.append(len(images))
+        return score(images, *args, **kwargs)
 
-    est = geometry._sampled_extremum(ratio, norm, fam.dim, 64, 7, maximize=False)
+    monkeypatch.setattr(geometry, "_psi_score", counting)
+    est = geometry._sampled_extremum(fam.blocks, norm, L2, 64, 7, ratio=True, maximize=False)
     assert calls[0] == 64 and max(calls[1:]) <= 3 * 2 * fam.dim
     xs = np.array(list(itertools.islice(unit_sphere_sampler(norm, fam.dim, 7), 64)))
-    assert est.value <= ratio(xs).min()
+    assert est.value <= profile_ratio(fam, L2)(xs).min()
     assert est.method == SAMPLED_UPPER_BOUND and est.trials == 64
 
 
@@ -899,8 +1028,8 @@ def test_gram_constants_bound_the_sampled_extrema_of_their_objectives(scalars, s
     fam = reference_family("l2", scalars, seed)
     coord = reference_family("l2", scalars, seed, eps=0.0)
     parts = coord.blocks[1:] @ (fam.blocks[1:] - coord.blocks[1:])
-    ratio = functools.partial(geometry._profile_ratio, fam, L2)
-    aggregate = functools.partial(geometry._block_aggregate, parts, norm=L2, psi=L2)
+    ratio = profile_ratio(fam, L2)
+    aggregate = direct_objective(parts, L2, L2, False)
     cases = [
         (besselian_constant(fam, L2), fam.blocks, ratio, False),
         (hilbertian_constant(fam, L2), fam.blocks, ratio, True),
@@ -910,7 +1039,8 @@ def test_gram_constants_bound_the_sampled_extrema_of_their_objectives(scalars, s
         assert exact.method == SPECTRAL_EXACT
         replay = gram_replay(exact, blocks, L2, L2, ratio=objective is ratio)
         assert replay == pytest.approx(exact.value, rel=1e-12)
-        sampled = geometry._sampled_extremum(objective, L2, fam.dim, 512, seed, maximize=maximize)
+        problem = objective.args[0], L2, L2, 512, seed
+        sampled = geometry._sampled_extremum(*problem, ratio=objective is ratio, maximize=maximize)
         if maximize:
             assert sampled.value <= exact.value * (1.0 + 1e-12)
         else:
