@@ -69,6 +69,14 @@ def _sign_chunks(n: int) -> Iterator[np.ndarray]:
         yield bits
 
 
+def _pattern_signs(n: int, j: int) -> np.ndarray:
+    """Row j of the concatenated _sign_chunks(n), built from its index:
+    sign i is +1 where bit i of 2^(n-1) + j is set and -1 elsewhere, so
+    the last sign is +1."""
+    bits = (((1 << (n - 1)) + j) >> np.arange(n)) & 1
+    return 2.0 * bits - 1.0
+
+
 def _sign_norms(x: np.ndarray, norm: NormSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each chunk of _sign_chunks(len(x)) with the norms of its sums of signed rows of x."""
     for signs in _sign_chunks(x.shape[0]):
@@ -83,6 +91,11 @@ def _stack_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError("vectors must be one-dimensional and of equal length")
     if len(vectors) > SIGN_BUDGET:
         raise BudgetError(f"{len(vectors)} vectors exceed the sign enumeration budget ({SIGN_BUDGET})")
+    # a NaN or infinite entry makes every pattern's norm meaningless, which
+    # an exact-enumeration tag would certify
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"vector {bad[0]} has a non-finite entry")
     return x
 
 
@@ -144,21 +157,22 @@ def min_max_sign_norm(vectors: Sequence[np.ndarray], norm: NormSpec, mode: str) 
     extreme.  Of each chunk of patterns only those whose convexity bounds
     can reach its extreme are solved (orlicz._extreme_rows), in a Luxemburg
     ambient those of every chunk in one row call; the value and the witness
-    are those of a full evaluation.
+    are those of a full evaluation.  The patterns are made in one pass,
+    each chunk only while its matrix is formed, and the witness is rebuilt
+    from its pattern index (_pattern_signs).
     """
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
     x = _stack_vectors(vectors)
     n = x.shape[0]
     maximize = mode == "max"
-    best, witness = (-math.inf if maximize else math.inf), None
-    # every chunk's matrix goes to one _extreme_rows call, made lazily; a
-    # second pass over the chunks pairs each result with its patterns
+    best, at = (-math.inf if maximize else math.inf), None
     extremes = _extreme_rows((signs @ x for signs in _sign_chunks(n)), norm, maximize)
-    for signs, (idx, norms) in zip(_sign_chunks(n), extremes):
+    for c, (idx, norms) in enumerate(extremes):
         i = int(np.argmax(norms) if maximize else np.argmin(norms))
         if (norms[i] > best) if maximize else (norms[i] < best):
-            best, witness = float(norms[i]), signs[idx[i]].copy()
+            best, at = float(norms[i]), c * _CHUNK + int(idx[i])
+    witness = None if at is None else _pattern_signs(n, at)
     return ConstantEstimate(value=best, method=EXACT_ENUMERATION, witness={"signs": witness}, trials=1 << n)
 
 

@@ -9,11 +9,11 @@ sum(phi(|a_n| / rho)) <= 1.
 
 One row kernel (rowwise_norm) computes every ambient norm in the package:
 the closed form for norms that are exactly lp norms, power gauges
-included, evaluated over cache-sized row blocks, the largest entry for
-max, and otherwise one Luxemburg solver, a bracketed, safeguarded Newton
-iteration in 1/rho that returns the feasible end of a bracket no wider
-than ABS_TOL * (1 + rho).  Rows are independent, so a vector's norm equals
-its row's in any batch bit for bit.
+included, the largest entry for max, and otherwise one Luxemburg solver,
+a bracketed, safeguarded Newton iteration in 1/rho that returns the
+feasible end of a bracket no wider than ABS_TOL * (1 + rho).  The closed
+forms and the solver alike run over cache-sized row blocks.  Rows are
+independent, so a vector's norm equals its row's in any batch bit for bit.
 
 Tolerance policy: this module owns ABS_TOL = 1e-12, the absolute bracket
 tolerance of the Luxemburg solver and of the pruning guard built on it;
@@ -23,9 +23,9 @@ The extremes over many rows that the enumerations in geometry take
 (unconditional constants, extreme sign norms) solve only the rows that
 can reach the extreme (_extreme_rows): for a Luxemburg norm those whose
 closed-form convexity bounds reach it, gathered from several matrices
-into one solve with each run of tied rows solved once, for an lp norm
-with an integer p >= 3 those whose p-th power sums, taken by products,
-come near it.
+into one rowwise_norm call with each run of tied rows solved once, for
+an lp norm with an integer p >= 3 those whose p-th power sums, taken by
+products, come near it.
 """
 from __future__ import annotations
 
@@ -209,10 +209,11 @@ def luxemburg_norm(phi: OrliczFunction, x: Sequence[float] | np.ndarray) -> floa
 
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
-# entries per row block of the closed forms.  A block's 64 KiB temporaries
-# stay in cache and below glibc's default 128 KiB mmap threshold; blocks of
-# 2^15 entries took thousands of page faults per enumeration op, and whole
-# stacks of 2^K rows are larger still
+# entries per row block of every row kernel, the closed forms and the
+# Luxemburg solver.  A block's 64 KiB temporaries stay in cache and below
+# glibc's default 128 KiB mmap threshold; blocks of 2^15 entries took
+# thousands of page faults per enumeration op, and a whole chunk of 2^13
+# sign rows made the solver's temporaries 786 KB each
 _BLOCK = 1 << 13
 
 
@@ -309,12 +310,13 @@ def _luxemburg_rows(phi: OrliczFunction, rows: np.ndarray) -> np.ndarray:
     when hi - lo <= 1e-12 * (1 + hi); the feasible ``hi``, as
     ``phi.values`` evaluated it, is returned.
     """
-    a = np.abs(np.asarray(rows))
-    if not np.all(np.isfinite(a)):
-        raise ValueError("rows must be finite")
-    a = a.astype(float, copy=False)
+    a = np.abs(np.asarray(rows)).astype(float, copy=False)
     out = np.zeros(a.shape[0])
     amax = a.max(axis=1, initial=0.0)
+    # NaN and inf propagate through max, so the row maxima are finite
+    # exactly when every entry is
+    if not np.all(np.isfinite(amax)):
+        raise ValueError("rows must be finite")
     live = np.flatnonzero(amax > 0)
     if live.size == 0:
         return out
@@ -355,7 +357,12 @@ def _luxemburg_rows(phi: OrliczFunction, rows: np.ndarray) -> np.ndarray:
 
 def rowwise_norm(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
     """Ambient norm of every row of a matrix: the one entry to the row
-    kernel, for vector_norm and the unit-sphere sampler's blocks too."""
+    kernel, for vector_norm and the unit-sphere sampler's blocks too.
+
+    Closed forms and Luxemburg rows alike are computed over row blocks of
+    about _BLOCK entries (_by_blocks), so no temporary grows with the row
+    count; every kernel treats rows independently, so the result is that
+    of one pass bit for bit."""
     m = np.asarray(rows)
     if m.ndim != 2:
         raise ValueError("expected a matrix")
@@ -364,12 +371,14 @@ def rowwise_norm(rows: np.ndarray, spec: NormSpec) -> np.ndarray:
         return _lp_norms(m, p)
     if spec.variant == "max":
         return np.abs(m).max(axis=1, initial=0.0)
-    return _luxemburg_rows(spec.phi, m)
+    return _by_blocks(lambda b: _luxemburg_rows(spec.phi, b), m)
 
 
-def _luxemburg_bounds(phi: OrliczFunction, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _luxemburg_bounds(phi: OrliczFunction, a: np.ndarray, amax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds on the Luxemburg norm rho of every row of a
-    nonnegative matrix, in closed form.
+    nonnegative matrix, in closed form, given its row maxima
+    ``amax`` = a.max(axis=1, initial=0.0), which the caller has already
+    taken to check finiteness.
 
     With n entries per row and phi^-1(y) the largest t with phi(t) <= y,
     convexity and phi(0) = 0 give (Rao & Ren, Theory of Orlicz Spaces, 1991):
@@ -380,7 +389,7 @@ def _luxemburg_bounds(phi: OrliczFunction, a: np.ndarray) -> tuple[np.ndarray, n
     the lower bound inf, which bounds nothing.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        amax, total = a.max(axis=1, initial=0.0), a.sum(axis=1)
+        total = a.sum(axis=1)
         lower = np.maximum(amax / phi._inverse(1.0), total / (a.shape[1] * phi._inverse(1.0 / a.shape[1])))
         upper = np.where(amax > 0.0, amax / phi._inverse(amax / total), 0.0)
     return lower, upper
@@ -460,11 +469,12 @@ def _luxemburg_candidates(
     candidate.
     """
     a = np.abs(m)
-    if not np.all(np.isfinite(a)):
+    amax = a.max(axis=1, initial=0.0)
+    if not np.all(np.isfinite(amax)):  # NaN and inf propagate through max
         raise ValueError("rows must be finite")
     idx = np.arange(m.shape[0])
     if m.size:
-        lower, upper = _luxemburg_bounds(phi, a)
+        lower, upper = _luxemburg_bounds(phi, a, amax)
         if np.all(np.isfinite(lower)):
             edge = float(lower.max() if maximize else upper.min())
             guard = _PRUNE_REL * edge + _PRUNE_ABS * (1.0 + edge)

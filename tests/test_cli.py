@@ -636,6 +636,21 @@ def orlicz(phi) -> dict:
     return family(norm={"variant": "orlicz", "phi": phi})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("norm", ["power:3", "power:2", "max", "exp:1"])
+def test_rademacher_refuses_non_finite_vectors(capsys, norm, bad):
+    # exit 2 with one line naming the vector, instead of exact-enumeration
+    # tags on min = inf and max = -inf (closed forms) or a solver error
+    # that names no vector (exp:1)
+    docs = {"power:3": {"variant": "power", "p": 3}, "power:2": {"variant": "power", "p": 2},
+            "max": {"variant": "max"}, "exp:1": {"variant": "orlicz", "phi": {"kind": "exp", "alpha": 1}}}
+    rc, out, err = run_cli(capsys, *rademacher({"vectors": [[1, bad], [0.5, 2]], "norm": docs[norm]}),
+                           "--format", "json")
+    assert rc == 2
+    assert err == "error: vector 0 has a non-finite entry\n"
+    assert out == ""
+
+
 # argv, and the text the message must hold: it names the document or spec
 MALFORMED = {
     "gauge-document-missing": (validate(orlicz({"kind": "exp"})), "gauge document is missing 'alpha'"),

@@ -393,6 +393,104 @@ def test_sign_extremes_solve_every_chunk_in_one_call(name, monkeypatch):
             assert est.trials == 2**n
 
 
+SIGN_NORMS = {"l3": NormSpec.power(3.0), **BRUTE_NORMS}
+
+
+def two_pass_sign_extreme(vectors, norm, mode):
+    """min_max_sign_norm's value and witness by a second stream of the sign
+    chunks, zipped with the extremes of the first to copy the witness row."""
+    x = np.array(vectors)
+    maximize = mode == "max"
+    best, witness = (-math.inf if maximize else math.inf), None
+    chunks = geometry._sign_chunks(len(vectors))
+    extremes = orlicz._extreme_rows((signs @ x for signs in chunks), norm, maximize)
+    for signs, (idx, norms) in zip(geometry._sign_chunks(len(vectors)), extremes):
+        i = int(np.argmax(norms) if maximize else np.argmin(norms))
+        if (norms[i] > best) if maximize else (norms[i] < best):
+            best, witness = float(norms[i]), signs[idx[i]].copy()
+    return best, witness
+
+
+@pytest.mark.parametrize("name", ["exp", "pwl", "l3", "l2", "max"])
+def test_sign_extremes_make_one_pass_over_the_patterns(name, monkeypatch):
+    # one stream of sign chunks, where copying the witness from a second
+    # stream made two; value and witness are the two-pass loop's bit for
+    # bit, the witness rebuilt from its pattern index
+    norm = SIGN_NORMS[name]
+    rng = np.random.default_rng(10)
+    streams = []
+    original = geometry._bit_chunks
+
+    def counting(k, lo, hi):
+        streams.append((k, lo, hi))
+        return original(k, lo, hi)
+
+    for n in (1, 2, 13, 14, 15, 16, 20):
+        vectors = [rng.standard_normal(12) for _ in range(n)]
+        for mode in ("min", "max"):
+            best, witness = two_pass_sign_extreme(vectors, norm, mode)
+            streams.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(geometry, "_bit_chunks", counting)
+                est = min_max_sign_norm(vectors, norm, mode)
+            assert streams == [(n, 2 ** (n - 1), 2**n)], (n, mode)
+            assert est.value == best, (n, mode)
+            assert est.witness["signs"].dtype == witness.dtype
+            assert est.witness["signs"].tobytes() == witness.tobytes(), (n, mode)
+            assert est.trials == 2**n
+
+
+def test_pattern_signs_are_the_rows_of_the_sign_chunks():
+    for n in range(1, 16):
+        rows = np.vstack(list(geometry._sign_chunks(n)))
+        assert rows.shape == (2 ** (n - 1), n)
+        for j, row in enumerate(rows):
+            signs = geometry._pattern_signs(n, j)
+            assert signs.dtype == row.dtype and signs.tobytes() == row.tobytes(), (n, j)
+
+
+def test_sign_average_peaks_near_one_chunk_of_patterns(monkeypatch):
+    # 14 pwl vectors of length 12: a chunk of 2^13 sign patterns (917 KB)
+    # and its sums of signed vectors (786 KB) are alive at once, and the
+    # solver takes them in row blocks of at most orlicz._BLOCK entries.
+    # One solver pass over the whole chunk peaked at 7.3 MB
+    norm = BRUTE_NORMS["pwl"]
+    vectors = list(np.random.default_rng(9).standard_normal((14, 12)))
+    rademacher_average(vectors, norm)
+    sizes = []
+    original = orlicz._luxemburg_rows
+
+    def spying(phi, rows):
+        sizes.append(rows.size)
+        return original(phi, rows)
+
+    tracemalloc.start()
+    try:
+        rademacher_average(vectors, norm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6, peak
+    monkeypatch.setattr(orlicz, "_luxemburg_rows", spying)
+    rademacher_average(vectors, norm)
+    assert sum(sizes) == 2**13 * 12 and max(sizes) <= orlicz._BLOCK, sizes
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["l3", "l2", "max", "exp"])
+def test_non_finite_vectors_are_refused(name, bad):
+    # an exact-enumeration tag on a NaN vector would claim an exact value
+    # (min inf, max -inf); every sign enumeration refuses the vector instead
+    norm = SIGN_NORMS[name]
+    vectors = [np.array([1.0, 0.5, -2.0]), np.array([0.3, bad, 1.0]), np.array([2.0, 1.0, 0.0])]
+    calls = [lambda: rademacher_average(vectors, norm, power=1), lambda: rademacher_average(vectors, norm, power=2)]
+    calls += [lambda mode=mode: min_max_sign_norm(vectors, norm, mode) for mode in ("min", "max")]
+    calls += [lambda: or_type_probe([vectors], OrliczFunction.power(2.0), norm)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^vector 1 has a non-finite entry$"):
+            call()
+
+
 @pytest.mark.parametrize("name", ["exp", "l3"])
 def test_unconditional_constant_without_a_ratio_raises(name):
     # the blocks sum to 0, so no sample has a denominator and no ratio exists

@@ -511,7 +511,8 @@ def test_convexity_bounds_hold_across_scales(name, n):
         real = bound_rows(rng, n) * scale
         for rows in (real, real + 1j * bound_rows(rng, n) * scale):
             norms = rowwise_norm(rows, NormSpec.orlicz(phi))
-            lower, upper = _luxemburg_bounds(phi, np.abs(rows))
+            a = np.abs(rows)
+            lower, upper = _luxemburg_bounds(phi, a, a.max(axis=1, initial=0.0))
             assert np.all(lower <= upper * (1.0 + 1e-13)), scale
             assert np.all(lower * (1.0 - 1e-13) <= norms), scale
             # the solver returns the feasible end of a bracket 1e-12 * (1 + rho) wide
@@ -630,11 +631,20 @@ def test_extreme_rows_solve_every_row_when_a_sum_overflows():
 
 
 def test_extreme_rows_reject_nonfinite_rows():
-    rows = np.ones((4, 3))
-    rows[2, 1] = np.nan
-    for maximize in (True, False):
-        with pytest.raises(ValueError):
-            extreme_rows(rows, NormSpec.orlicz(OrliczFunction.scaled_exp(1.0)), maximize)
+    # finiteness is read off the row maxima, through which NaN and inf
+    # propagate, also as the modulus of a complex entry; the row solver
+    # refuses them too, in whichever row block they fall
+    spec = NormSpec.orlicz(OrliczFunction.scaled_exp(1.0))
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0), complex(np.nan, np.inf)):
+        rows = np.ones((4000, 3), dtype=type(bad) if isinstance(bad, complex) else float)
+        for at in (2, 3999):
+            rows[at, 1] = bad
+            for maximize in (True, False):
+                with pytest.raises(ValueError, match="rows must be finite"):
+                    extreme_rows(rows, spec, maximize)
+            with pytest.raises(ValueError, match="rows must be finite"):
+                rowwise_norm(rows, spec)
+            rows[at, 1] = 1.0
 
 
 def count_solves(monkeypatch):
@@ -720,6 +730,71 @@ def test_extreme_rows_solve_each_run_of_tied_rows_once(name, monkeypatch):
         idx, norms = got[2]
         np.testing.assert_array_equal(norms, rowwise_norm(mixed, spec)[idx])
         monkeypatch.undo()
+
+
+def block_stack(rows, cols, scalars, seed):
+    """Rows cycling through the scales 1e-3, 1 and 1e3, with a zero row."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((rows, cols))
+    if scalars == "complex":
+        m = m + 1j * rng.standard_normal((rows, cols))
+    m *= np.array([1e-3, 1.0, 1e3])[np.arange(rows) % 3, None]
+    m[rows // 2] = 0.0
+    return m
+
+
+BLOCK_STACKS = [(700, 24), (5000, 12), (20000, 3)]
+
+
+@pytest.mark.parametrize("scalars", ["real", "complex"])
+@pytest.mark.parametrize("shape", BLOCK_STACKS)
+@pytest.mark.parametrize("name", ["exp:1", "pwl"])
+def test_blocked_luxemburg_rows_are_one_row_solves_bit_for_bit(name, shape, scalars):
+    # every stack spans several row blocks (341, 682 and 2730 rows of
+    # _BLOCK entries); the blocked norms equal one pass of the solver over
+    # the whole stack, and one-row solves of the rows at every block edge
+    # and of a random spread of the others
+    phi = KERNEL_GAUGES[name]
+    rows = block_stack(*shape, scalars, seed=shape[0])
+    step = orlicz._BLOCK // shape[1]
+    assert shape[0] > step
+    blocked = rowwise_norm(rows, NormSpec.orlicz(phi))
+    assert blocked.tobytes() == _luxemburg_rows(phi, rows).tobytes()
+    edges = np.arange(step, shape[0], step)
+    picks = np.unique(np.concatenate([[0, shape[0] // 2, shape[0] - 1], edges - 1, edges,
+                                      np.random.default_rng(5).integers(0, shape[0], 60)]))
+    for i in picks:
+        assert blocked[i] == _luxemburg_rows(phi, rows[i:i + 1])[0], i
+    assert blocked[shape[0] // 2] == 0.0 and np.all(blocked[np.arange(shape[0]) != shape[0] // 2] > 0.0)
+
+
+def test_no_solver_call_takes_more_than_a_block(monkeypatch):
+    # the stacks above reach the solver in full blocks of _BLOCK // cols
+    # rows, at most _BLOCK entries each, and one shorter last block
+    calls = count_solves(monkeypatch)
+    for name in ("exp:1", "pwl"):
+        for rows, cols in BLOCK_STACKS:
+            calls.clear()
+            rowwise_norm(block_stack(rows, cols, "real", seed=1), NormSpec.orlicz(KERNEL_GAUGES[name]))
+            step = orlicz._BLOCK // cols
+            assert calls == [step] * (rows // step) + [rows % step], (name, rows, cols)
+
+
+def test_blocked_rows_peak_below_one_chunk():
+    # one chunk of 2^13 sign rows of length 12 is 786 KB; solved in row
+    # blocks, no temporary of the solver is that large, where one pass
+    # over the chunk peaked at 5.5 MB
+    spec = NormSpec.orlicz(KERNEL_GAUGES["pwl"])
+    rows = np.random.default_rng(4).standard_normal((8192, 12))
+    rowwise_norm(rows, spec)
+    tracemalloc.start()
+    try:
+        rowwise_norm(rows, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
+
 
 
 def test_block_psi_norm_pythagoras():
