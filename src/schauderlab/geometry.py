@@ -28,7 +28,20 @@ from .kernel import (
     _span_rows,
     unit_sphere_sampler,
 )
-from .orlicz import _NORMAL_MIN, NormSpec, OrliczFunction, _extreme_rows, luxemburg_norm, rowwise_norm
+from .orlicz import (
+    _BLOCK,
+    _EPS,
+    _NORMAL_MIN,
+    _PRUNE_ABS,
+    _PRUNE_REL,
+    NormSpec,
+    OrliczFunction,
+    _extreme_rows,
+    _size_bound,
+    _size_exponent,
+    luxemburg_norm,
+    rowwise_norm,
+)
 
 SIGN_BUDGET = 24
 COEFFICIENT_BUDGET = 20
@@ -177,6 +190,107 @@ def min_max_sign_norm(vectors: Sequence[np.ndarray], norm: NormSpec, mode: str) 
 
 
 # ---------------------------------------------------------------------------
+# Branch and bound over blocks of patterns
+
+# a block is 2^_LOW_BITS consecutive patterns of a chunk, which share their
+# high coefficients
+_LOW_BITS = 3
+# a sample that keeps more than this share of its blocks keeps every row:
+# gathering them would cost more than the rows it leaves out
+_DENSE = 0.5
+
+
+def _take(m: np.ndarray, blocks: np.ndarray | None) -> np.ndarray:
+    """The rows of the given blocks of a chunk's row matrix, or all of them for None."""
+    if blocks is None:
+        return m
+    return m.reshape(-1, m.shape[1] << _LOW_BITS)[blocks].reshape(-1, m.shape[1])
+
+
+def _pattern(blocks: np.ndarray | None, i: int) -> int:
+    """The index in its chunk of row i of _take(m, blocks)."""
+    if blocks is None:
+        return i
+    return int(blocks[i >> _LOW_BITS]) << _LOW_BITS | i & ((1 << _LOW_BITS) - 1)
+
+
+def _kept_blocks(
+    coeffs: np.ndarray, ys: np.ndarray, scale: np.ndarray, norm: NormSpec, certified: float
+) -> tuple[float, list[tuple[int, np.ndarray | None]]]:
+    """Branch and bound over the blocks of a chunk of patterns: the blocks
+    of the rows of coeffs @ ys[j] that can attain the largest
+    ||row|| / scale[j] over every sample j and every chunk so far.
+
+    ``certified`` is a lower bound on that largest ratio that a row of an
+    earlier chunk reaches within rounding.  Returned are the raised bound
+    and, for each sample that keeps a row, (j, its kept blocks ascending),
+    or (j, None) when it keeps every row.
+
+    Block h holds the patterns h 2^L + l, l < 2^L, L = _LOW_BITS, of a
+    chunk whose first 2^L rows run through the low patterns, so its rows
+    are U_h + V_l: U_h made of the high coefficients, V_l of the low ones.
+    Entrywise, with V_l in [lo, hi], centre c = (hi + lo) / 2 and
+    half-width w = (hi - lo) / 2,
+    |U_h + V_l| <= max(|U_h + hi|, |U_h + lo|) = |U_h + c| + w; for complex
+    data c = 0 and w = max_l |V_l|.  w is widened by the rounding of these
+    sums and of coeffs @ ys.  Every norm is a lattice norm, so the
+    closed-form upper bound (orlicz._size_bound) of that one row bounds
+    every row of the block; U_h + c comes from one product for all the
+    samples, taken by row blocks.  The rows of each sample's highest block
+    give it a certified lower bound, by their closed-form lower bounds,
+    and a block is dropped when its bound misses the best certified ratio
+    by more than the _PRUNE_REL / _PRUNE_ABS guard of orlicz._extreme_rows,
+    so no dropped row reaches or ties the largest ratio.  A chunk of fewer
+    than 2^L patterns, or a norm with no closed-form bound, keeps every row.
+    """
+    samples, k, n = ys.shape
+    every = [(j, None) for j in range(samples)]
+    low, q = 1 << _LOW_BITS, _size_exponent(norm)
+    if coeffs.shape[0] < low or q is None:
+        return certified, every
+    v = coeffs[:low, :_LOW_BITS] @ ys[:, :_LOW_BITS]
+    # each entry of these sums, and of coeffs @ ys, is a sum of at most
+    # k + 1 terms and rounds by less than 2 (k + 2) eps sum_i |y_ij|, a
+    # complex one by less than twice that
+    slack = (8.0 * (k + 2) * _EPS) * np.abs(ys).sum(axis=1)
+    if np.iscomplexobj(v):
+        centre, width = np.zeros_like(v[:, 0]), np.abs(v).max(axis=1)
+    else:
+        hi, lo = v.max(axis=1), v.min(axis=1)
+        centre, width = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    # [high coefficients, 1] @ [y_high; c]: U_h + c, the samples side by side
+    high = np.ones((coeffs.shape[0] >> _LOW_BITS, k - _LOW_BITS + 1))
+    high[:, :-1] = coeffs[::low, _LOW_BITS:]
+    hy = np.concatenate([ys[:, _LOW_BITS:], centre[:, None]], axis=1).transpose(1, 0, 2).reshape(-1, samples * n)
+    width = (width + slack).reshape(-1)
+    step = max(1, _BLOCK // hy.shape[1])
+    parts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, high.shape[0], step):
+            a = np.abs(high[i : i + step] @ hy)
+            a += width
+            parts.append(_size_bound(a.reshape(-1, n), norm, above=True))
+        reach = np.concatenate(parts).reshape(-1, samples)
+        # each sample's highest block certifies a lower bound from its own rows
+        top = np.argmax(reach, axis=0)
+        rows = np.abs(np.einsum("si,sin->sn", coeffs[top << _LOW_BITS, _LOW_BITS:], ys[:, _LOW_BITS:])[:, None] + v)
+        rows -= slack[:, None]
+        np.maximum(rows, 0.0, out=rows)
+        ends = _size_bound(rows.reshape(-1, n), norm, above=False).reshape(samples, low).max(axis=1)
+        certified = max(certified, float(np.max(ends ** (1.0 / q) / scale)))
+        if not math.isfinite(certified):
+            return certified, every
+        edge = certified * scale
+        keep = reach >= np.maximum(edge - _PRUNE_REL * edge - _PRUNE_ABS * (1.0 + edge), 0.0) ** q
+    kept = []
+    for j in range(samples):
+        blocks = np.flatnonzero(keep[:, j])
+        if blocks.size:
+            kept.append((j, None if blocks.size > _DENSE * keep.shape[0] else blocks))
+    return certified, kept
+
+
+# ---------------------------------------------------------------------------
 # Unconditionality
 
 
@@ -212,9 +326,11 @@ def unconditional_constant(
     then one with c_k = +1.  unit-disc-grid ranges over real c_i in
     [-1, 1]; by convexity the sign patterns carry its maximum, so it
     returns exactly what signs returns.  For a complex family that is a
-    lower bound on the constant over the complex unit disc.  Of each
-    sample's chunk of patterns only those whose convexity bounds can reach
-    its largest norm are solved (orlicz._extreme_rows), in a Luxemburg
+    lower bound on the constant over the complex unit disc.  Blocks of
+    patterns whose lattice bound cannot reach the largest ratio are
+    dropped first (_kept_blocks); of the rest only those whose convexity
+    bounds can reach a sample's largest norm are solved
+    (orlicz._extreme_rows), in a Luxemburg
     ambient those of every sample in one row call; the value and the
     witness are those of a full evaluation, and ``trials`` counts samples.
     A sample whose blocks sum to 0 has no ratio; ConvergenceError when no
@@ -237,17 +353,22 @@ def unconditional_constant(
     live = np.flatnonzero(denoms > 0).tolist()
     if not live:
         raise ConvergenceError(f"the blocks of no sampled vector sum to a nonzero vector in {samples} samples")
-    # each chunk is made once and scanned for every sample, which keeps its
-    # first largest ratio; the first sample with the largest one then gives
-    # what scanning every chunk for one sample after another gives
+    # each chunk is made once and scanned for every sample; a sample that
+    # can reach the largest ratio keeps its first largest one (blocks below
+    # the certified ratio are dropped), and the first sample with the
+    # largest one then gives what scanning every chunk for one sample
+    # after another gives
     best = [(-math.inf, None)] * samples
+    ys, certified = np.stack([tuples[s] for s in live]), -math.inf
     for coeffs in _coefficient_chunks(coefficient_set, k):
-        extremes = _extreme_rows((coeffs @ tuples[s] for s in live), norm, maximize=True)
-        for s, (idx, norms) in zip(live, extremes):
+        certified, kept = _kept_blocks(coeffs, ys, denoms[live], norm, certified)
+        extremes = _extreme_rows((_take(coeffs @ tuples[live[j]], blocks) for j, blocks in kept), norm, maximize=True)
+        for (j, blocks), (idx, norms) in zip(kept, extremes):
+            s = live[j]
             ratios = norms / denoms[s]
             i = int(np.argmax(ratios))
             if ratios[i] > best[s][0]:
-                best[s] = (float(ratios[i]), coeffs[idx[i]].copy())
+                best[s] = (float(ratios[i]), coeffs[_pattern(blocks, int(idx[i]))].copy())
     s = max(range(samples), key=lambda j: best[j][0])
     value, coeffs = best[s]
     return ConstantEstimate(

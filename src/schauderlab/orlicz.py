@@ -96,7 +96,10 @@ class OrliczFunction:
             object.__setattr__(self, "_vs", vs)
             # computed once, quietly: piecewise_linear refuses knots whose slopes are not finite
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                object.__setattr__(self, "_slopes", np.diff(vs) / np.diff(ts))
+                slopes = np.diff(vs) / np.diff(ts)
+            object.__setattr__(self, "_slopes", slopes)
+            # the slope to the right of every knot, the last segment's past the final knot
+            object.__setattr__(self, "_rising", np.append(slopes, slopes[-1:]))
 
     def values(self, t: np.ndarray) -> np.ndarray:
         """Gauge values at nonnegative points; vectorised, overflow-safe."""
@@ -107,12 +110,24 @@ class OrliczFunction:
         if self.kind == "exp":
             with np.errstate(over="ignore"):
                 return np.expm1(self.alpha * t)
-        ts, vs = self._ts, self._vs
-        out = np.interp(t, ts, vs)
-        beyond = t > ts[-1]
-        if np.any(beyond):
-            out = np.where(beyond, vs[-1] + self._slopes[-1] * (t - ts[-1]), out)
-        return out
+        # a negative t gives phi(0) = 0, as interpolation clamps it to the first knot
+        return self._pieces(np.maximum(t, 0.0))[0]
+
+    def _pieces(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """phi(t) and the slope of phi to the right of t, at every t >= 0 (or
+        NaN), for a piecewise-linear gauge, from one segment lookup.
+
+        t's segment starts at the knot k counted by the comparisons t >= t_i
+        over the knots after the first, so the last segment runs on past the
+        final knot, and a knot starts its own segment.  The value is
+        s_k (t - t_k) + v_k: at a knot exactly v_k, inside a segment what
+        linear interpolation gives, past the final knot its extension.
+        """
+        seg = np.zeros(np.shape(t), dtype=np.intp)
+        for knot in self._ts[1:]:
+            seg += t >= knot
+        slope = self._rising[seg]
+        return slope * (t - self._ts[seg]) + self._vs[seg], slope
 
     def _inverse(self, y: np.ndarray) -> np.ndarray:
         """The largest t with phi(t) <= y, at every y >= 0; vectorised.
@@ -133,22 +148,23 @@ class OrliczFunction:
         seg = np.minimum(np.searchsorted(vs, y, side="right") - 1, vs.size - 2)
         return self._ts[seg] + (y - vs[seg]) / self._slopes[seg]
 
-    def _slope_moment(self, t: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Row sums of t * phi'(t), given v = self.values(t) and its row sums g.
+    def _sums(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row sums of phi(t) and of t * phi'(t), at t >= 0: the gauge's part
+        of one solver pass.
 
-        The derivative comes from the values already computed: the
-        exponential has phi' = alpha (phi + 1), a power has phi' = p phi / t,
-        and a piecewise-linear gauge takes the slope of the knot segment to
-        the right of t.
+        The derivative comes with the values: the exponential has
+        phi' = alpha (phi + 1) and a power phi' = p phi / t, and a
+        piecewise-linear gauge reads the slope to the right of t from the
+        segment its value came from (_pieces).
         """
+        if self.kind == "pwl":
+            v, slope = self._pieces(t)
+            return v.sum(axis=1), np.einsum("...i,...i->...", t, slope)
+        v = self.values(t)
+        g = v.sum(axis=1)
         if self.kind == "power":
-            return self.p * g
-        if self.kind == "exp":
-            return self.alpha * (np.einsum("...i,...i->...", t, v) + t.sum(axis=-1))
-        # the count of interior knots <= t is the index of t's segment,
-        # the last one extended past the final knot
-        seg = np.searchsorted(self._ts[1:-1], t, side="right")
-        return np.einsum("...i,...i->...", t, self._slopes[seg])
+            return g, self.p * g
+        return g, self.alpha * (np.einsum("...i,...i->...", t, v) + t.sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -307,8 +323,8 @@ def _luxemburg_rows(phi: OrliczFunction, rows: np.ndarray) -> np.ndarray:
     or leaves the bracket is replaced by the bisection midpoint; one that
     lands within rounding of ``hi`` (a piecewise-linear gauge can land
     on the root exactly) by a point just below ``hi``.  A row is done
-    when hi - lo <= 1e-12 * (1 + hi); the feasible ``hi``, as
-    ``phi.values`` evaluated it, is returned.
+    when hi - lo <= 1e-12 * (1 + hi); the feasible ``hi``, as the row sums
+    of ``phi._sums`` (those of ``phi.values``) evaluated it, is returned.
     """
     a = np.abs(np.asarray(rows)).astype(float, copy=False)
     out = np.zeros(a.shape[0])
@@ -329,13 +345,12 @@ def _luxemburg_rows(phi: OrliczFunction, rows: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_PASSES):
             t = body / rho[:, None]
-            v = phi.values(t)
-            g = v.sum(axis=1)
+            g, moment = phi._sums(t)
             over = g > 1.0
             np.copyto(lo, rho, where=over)
             np.copyto(hi, rho, where=~over)
             # Newton in s = 1/rho: s_new = s (1 - F / (s F'(s))), s F'(s) = sum t phi'(t)
-            np.copyto(newton, rho / (1.0 - (g - 1.0) / phi._slope_moment(t, v, g)), where=over)
+            np.copyto(newton, rho / (1.0 - (g - 1.0) / moment), where=over)
             width = ABS_TOL * (1.0 + hi)
             done = hi - width <= lo
             if np.count_nonzero(done):
@@ -388,9 +403,14 @@ def _luxemburg_bounds(phi: OrliczFunction, a: np.ndarray, amax: np.ndarray) -> t
     l in [0, 1].  Zero rows get 0 and 0.  A row whose sum overflows gets
     the lower bound inf, which bounds nothing.
     """
+    with np.errstate(over="ignore"):
+        return _bounds_of_sums(phi, amax, a.sum(axis=1), a.shape[1])
+
+
+def _bounds_of_sums(phi: OrliczFunction, amax: np.ndarray, total: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_luxemburg_bounds of rows of n entries, from their maxima and sums alone."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        total = a.sum(axis=1)
-        lower = np.maximum(amax / phi._inverse(1.0), total / (a.shape[1] * phi._inverse(1.0 / a.shape[1])))
+        lower = np.maximum(amax / phi._inverse(1.0), total / (n * phi._inverse(1.0 / n)))
         upper = np.where(amax > 0.0, amax / phi._inverse(amax / total), 0.0)
     return lower, upper
 
@@ -414,17 +434,18 @@ def _extreme_rows(
     rowwise_norm(matrix)[idx].
 
     Only the rows that can reach the extreme, within the _PRUNE_REL guard,
-    are solved, through rowwise_norm.  For an lp norm with an integer
-    p >= 3 these are the rows whose _power_sums lie within the guard of the
-    extreme sum (_power_candidates); every other closed form (p in {1, 2},
-    p not an integer, max) solves every row.  Closed forms take one matrix
-    at a time, as it is drawn from ``matrices``.  For a Luxemburg norm the
+    are solved, through rowwise_norm, each run of consecutive candidates
+    with equal |row| once.  For an lp norm with an integer p >= 3 these are
+    the rows whose _power_sums lie within the guard of the extreme sum
+    (_power_candidates); every other closed form (p in {1, 2}, p not an
+    integer, max) solves every row.  Closed forms take one matrix at a
+    time, as it is drawn from ``matrices``.  For a Luxemburg norm the
     candidates are the rows whose _luxemburg_bounds reach the best
     opposite bound (_luxemburg_candidates); the candidates of all the
-    matrices are gathered first and solved by one rowwise_norm call, each
-    run of consecutive candidates with equal |row| once.  Rows are solved
-    independently of each other, and the solver reads only |row|, so the
-    first extreme of the returned norms is the first extreme of all rows.
+    matrices are gathered first and solved by one rowwise_norm call.  Rows
+    are solved independently of each other, and these norms read only
+    |row|, so the first extreme of the returned norms is the first extreme
+    of all rows.
     """
     # map keeps no matrix once its function returns, so the next matrix is
     # made with no other one held
@@ -446,7 +467,10 @@ def _closed_form_extreme(m: np.ndarray, spec: NormSpec, maximize: bool) -> tuple
     p = spec.power_exponent()
     if p is not None and p >= 3.0 and p.is_integer() and m.size:
         idx = _power_candidates(_power_sums(m, int(p)), maximize)
-        return idx, rowwise_norm(m[idx], spec)
+        # the lp closed form with p != 2 reads only |a|, so a run's norm is
+        # that of each of its rows
+        runs, run_of = _runs(np.abs(m[idx]))
+        return idx, rowwise_norm(runs, spec)[run_of]
     return np.arange(m.shape[0]), rowwise_norm(m, spec)
 
 
@@ -455,6 +479,13 @@ def _matrix(rows: np.ndarray) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError("expected a matrix")
     return m
+
+
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each run of consecutive equal rows, and the run of every row."""
+    starts = np.ones(rows.shape[0], dtype=bool)
+    starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[starts], np.cumsum(starts) - 1
 
 
 def _luxemburg_candidates(
@@ -466,23 +497,54 @@ def _luxemburg_candidates(
 
     A candidate's bounds reach the best opposite bound within the guard.
     When a row sum overflows the bounds say nothing, and every row is a
-    candidate.
+    candidate.  The row maxima and sums are taken by row blocks, so only
+    the candidates' |row| is formed whole.
     """
-    a = np.abs(m)
-    amax = a.max(axis=1, initial=0.0)
+
+    def sizes(b: np.ndarray) -> np.ndarray:
+        a = np.abs(b)
+        return np.column_stack([a.max(axis=1, initial=0.0), a.sum(axis=1)])
+
+    with np.errstate(over="ignore"):
+        amax, total = _by_blocks(sizes, m).T
     if not np.all(np.isfinite(amax)):  # NaN and inf propagate through max
         raise ValueError("rows must be finite")
     idx = np.arange(m.shape[0])
     if m.size:
-        lower, upper = _luxemburg_bounds(phi, a, amax)
+        lower, upper = _bounds_of_sums(phi, amax, total, m.shape[1])
         if np.all(np.isfinite(lower)):
             edge = float(lower.max() if maximize else upper.min())
             guard = _PRUNE_REL * edge + _PRUNE_ABS * (1.0 + edge)
             idx = np.flatnonzero(upper >= edge - guard if maximize else lower <= edge + guard)
-    rows = a if idx.size == a.shape[0] else a[idx]
-    starts = np.ones(idx.size, dtype=bool)
-    starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    return idx, rows[starts], np.cumsum(starts) - 1
+    return (idx, *_runs(np.abs(m if idx.size == m.shape[0] else m[idx])))
+
+
+def _size_exponent(spec: NormSpec) -> int | None:
+    """The q of _size_bound for this norm, or None when it has no bound
+    cheaper than the norm itself (p in {1, 2}, p not an integer, max)."""
+    p = spec.power_exponent()
+    if p is None:
+        return 1 if spec.variant == "orlicz" else None
+    return int(p) if p >= 3.0 and p.is_integer() else None
+
+
+def _size_bound(a: np.ndarray, spec: NormSpec, above: bool) -> np.ndarray:
+    """A closed-form bound on ||row||^q, q = _size_exponent(spec), for every
+    row of a nonnegative matrix: from above with ``above``, else from below.
+
+    An lp norm with an integer p >= 3 takes its _power_sums, within
+    (p - 1 + n) eps of ||row||^p; a Luxemburg norm (q = 1) its
+    _luxemburg_bounds.  A bound that says nothing is inf from above and 0
+    from below: one that is not finite, and from above one below the
+    normal range, where a power sum may have underflowed.
+    """
+    p = spec.power_exponent()
+    if p is not None:
+        s = _power_sums(a, int(p))
+    else:
+        lower, upper = _luxemburg_bounds(spec.phi, a, a.max(axis=1, initial=0.0))
+        s = upper if above else lower
+    return np.where(s >= _NORMAL_MIN, s, np.inf) if above else np.where(s < np.inf, s, 0.0)
 
 
 def _power_candidates(s: np.ndarray, maximize: bool) -> np.ndarray:

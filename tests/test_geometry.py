@@ -10,6 +10,7 @@ import pytest
 
 from schauderlab import geometry, orlicz
 from schauderlab.decomposition import ModelSpace, ProjectionFamily, make_coordinate_family, transport_family
+from schauderlab.documents import perturbation_transport
 from schauderlab.errors import BudgetError, ConvergenceError
 from schauderlab.geometry import (
     besselian_constant,
@@ -271,6 +272,8 @@ def test_pruned_extremes_equal_the_full_evaluation(name, scalars, monkeypatch):
             yield np.arange(len(m)), rowwise_norm(m, spec)
 
     monkeypatch.setattr(geometry, "_extreme_rows", every_row)
+    # no chunk holds a block of 2^30 patterns, so none is bounded or dropped
+    monkeypatch.setattr(geometry, "_LOW_BITS", 30)
     for got, want in zip(pruned, run()):
         assert estimate_bits(got) == estimate_bits(want)
     # the full evaluation saw every pattern: 3 samples of 2^10 zero-one and
@@ -537,6 +540,26 @@ def test_enumerations_solve_few_of_their_patterns(monkeypatch):
     for mode in ("min", "max"):
         assert min_max_sign_norm(vectors, norm, mode).trials == 2**14
     assert 0 < sum(rows) < 0.05 * 2 * 2**13
+
+
+@pytest.mark.parametrize("scalars", ["real", "complex"])
+def test_closed_form_ties_solve_one_row(scalars, monkeypatch):
+    # every sign pattern of a coordinate family has the same |row|, so in
+    # l3 each sample's chunk solves one row, as a Luxemburg chunk does;
+    # value and witness stay those of the sample-by-sample full scan
+    rows = []
+    original = orlicz.rowwise_norm
+
+    def counting(m, spec):
+        rows.append(len(m))
+        return original(m, spec)
+
+    fam = make_coordinate_family(ModelSpace(24, NormSpec.power(3.0), scalars=scalars), [2] * 12)
+    want = sequential_unconditional(fam, "signs", 3, 5)
+    monkeypatch.setattr(orlicz, "rowwise_norm", counting)
+    got = estimate_bits(unconditional_constant(fam, "signs", samples=3, seed=5))
+    assert got == want and want[0] == 1.0
+    assert rows == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -1398,3 +1421,68 @@ def test_or_type_probe_rejects_zero_set():
     sets = [[np.zeros(2), np.zeros(2)]]
     with pytest.raises(ValueError):
         or_type_probe(sets, OrliczFunction.power(2.0), L2)
+
+
+# ---------------------------------------------------------------------------
+# branch and bound over blocks of 2^_LOW_BITS patterns: a block whose
+# lattice bound row cannot reach the certified largest ratio is dropped
+# unread, and value, tag, trials and witness stay those of the full scan
+
+BLOCK_NORMS = {
+    "l1": NormSpec.power(1.0),
+    "l2": NormSpec.power(2.0),
+    "l3": NormSpec.power(3.0),
+    "max": NormSpec.max_norm(),
+    **BRUTE_NORMS,
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_NORMS))
+def test_block_bounds_keep_the_full_scan(name, monkeypatch):
+    # K = L and L + 1 give one and two blocks a chunk, K = 12 and 13 one
+    # chunk of 2^12 and 2^13 patterns; the reference scans every block
+    # (_LOW_BITS = 30 makes none), and for small K every pattern too
+    norm = BLOCK_NORMS[name]
+    low = geometry._LOW_BITS
+    for k, scalars in itertools.product((low, low + 1, 12, 13), ("real", "complex")):
+        fam = transported(k, scalars, norm, seed=k)
+        for mode in ("zero-one", "signs"):
+            got = estimate_bits(unconditional_constant(fam, mode, samples=3, seed=1))
+            with monkeypatch.context() as mp:
+                mp.setattr(geometry, "_LOW_BITS", 30)
+                assert got == estimate_bits(unconditional_constant(fam, mode, samples=3, seed=1)), (k, scalars, mode)
+            if k <= low + 1:
+                assert got == sequential_unconditional(fam, mode, 3, 1), (k, scalars, mode)
+
+
+@pytest.mark.parametrize("name", ["exp", "l3"])
+def test_block_bounds_keep_the_full_scan_over_chunks(name, monkeypatch):
+    # K = 14 and 16: the certified bound carries over 2 and 8 zero-one chunks
+    norm = BLOCK_NORMS[name]
+    for k in (14, 16):
+        fam = transported(k, "real", norm, seed=k)
+        got = estimate_bits(unconditional_constant(fam, "zero-one", samples=2, seed=3))
+        monkeypatch.setattr(geometry, "_LOW_BITS", 30)
+        assert got == estimate_bits(unconditional_constant(fam, "zero-one", samples=2, seed=3)), k
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", ["exp", "l3"])
+def test_block_bounds_drop_most_patterns(name, monkeypatch):
+    # an epsilon = 0.05 transport of a coordinate family with K = 12: fewer
+    # than a quarter of the 2^12 zero-one pattern rows of its 8 samples
+    # reach the row kernel's own candidate pass
+    rows = []
+    original = geometry._extreme_rows
+
+    def counting(matrices, spec, maximize):
+        for m in matrices:
+            rows.append(len(m))
+            yield from original([m], spec, maximize)
+
+    space = ModelSpace(24, BLOCK_NORMS[name])
+    fam = perturbation_transport(make_coordinate_family(space, [2] * 12), 0.05, 7)
+    want = estimate_bits(unconditional_constant(fam, "zero-one", samples=8, seed=2))
+    monkeypatch.setattr(geometry, "_extreme_rows", counting)
+    assert estimate_bits(unconditional_constant(fam, "zero-one", samples=8, seed=2)) == want
+    assert 0 < sum(rows) < 0.25 * 8 * 2**12, sum(rows)

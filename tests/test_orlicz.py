@@ -17,6 +17,7 @@ from schauderlab.orlicz import (
     OrliczFunction,
     _extreme_rows,
     _luxemburg_bounds,
+    _luxemburg_candidates,
     _luxemburg_rows,
     _lp_norms,
     _power_sums,
@@ -60,6 +61,32 @@ def test_pwl_gauge_interpolates_and_extrapolates():
     assert float(phi.values(1.5)) == pytest.approx(2.0)
     # beyond the last knot the final slope continues
     assert float(phi.values(4.0)) == pytest.approx(3.0 + 2.0 * 2.0)
+
+
+@pytest.mark.parametrize(
+    "knots",
+    [
+        [(0.0, 0.0), (0.5, 0.2), (1.0, 1.0), (2.0, 4.0)],
+        [(0.0, 0.0), (0.3, 0.0), (1.0, 0.7), (1.5, 1.5), (3.0, 6.0)],
+        [(0.0, 0.0), (1.0, 1.0)],
+    ],
+)
+def test_pwl_gauge_values_are_interpolation_bit_for_bit(knots):
+    # one segment lookup gives what np.interp gives inside the knots, the
+    # final segment's extension past them, 0 below 0, and NaN for NaN, at
+    # the knots, one ulp either side of them and on random points of five scales
+    phi = OrliczFunction.piecewise_linear(knots)
+    ts, vs = np.array(knots).T
+    rng = np.random.default_rng(2)
+    t = np.concatenate(
+        [ts, np.nextafter(ts, np.inf), np.nextafter(ts, -np.inf), [math.nan, math.inf, -math.inf, -1.0, -0.0, 1e300]]
+        + [scale * rng.uniform(0.0, 4.0, 500) for scale in (1e-3, 0.1, 1.0, 10.0, 1e3)]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.where(t > ts[-1], vs[-1] + (vs[-1] - vs[-2]) / (ts[-1] - ts[-2]) * (t - ts[-1]), np.interp(t, ts, vs))
+    got = phi.values(t)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert [float(phi.values(k)) for k in ts] == list(vs)
 
 
 def test_pwl_gauge_must_start_at_origin():
@@ -778,6 +805,29 @@ def test_no_solver_call_takes_more_than_a_block(monkeypatch):
             rowwise_norm(block_stack(rows, cols, "real", seed=1), NormSpec.orlicz(KERNEL_GAUGES[name]))
             step = orlicz._BLOCK // cols
             assert calls == [step] * (rows // step) + [rows % step], (name, rows, cols)
+
+
+def test_luxemburg_candidates_peak_below_one_chunk():
+    # the candidate pass takes its row maxima and sums by row blocks and
+    # forms only the candidates' |row|: 0.67 MB for 8192 pwl rows of length
+    # 12, where |m| of the whole chunk (786 KB) and its bounds peaked at 1.45 MB
+    phi = KERNEL_GAUGES["pwl"]
+    rows = np.random.default_rng(4).standard_normal((8192, 12))
+    for maximize in (True, False):
+        want = _luxemburg_candidates(phi, rows, maximize)
+        tracemalloc.start()
+        try:
+            got = _luxemburg_candidates(phi, rows, maximize)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0e6, peak
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        lower, upper = _luxemburg_bounds(phi, np.abs(rows), np.abs(rows).max(axis=1))
+        edge = lower.max() if maximize else upper.min()
+        guard = orlicz._PRUNE_REL * edge + orlicz._PRUNE_ABS * (1.0 + edge)
+        keep = upper >= edge - guard if maximize else lower <= edge + guard
+        assert np.array_equal(got[0], np.flatnonzero(keep))
 
 
 def test_blocked_rows_peak_below_one_chunk():
